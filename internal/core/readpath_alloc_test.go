@@ -50,13 +50,6 @@ func fillKeys(s *Server, n int) []string {
 	return keys
 }
 
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("exact allocation pins are meaningless under -race (pool instrumentation allocates)")
-	}
-}
-
 func measureReadSliceAllocs(t *testing.T, s *Server) float64 {
 	t.Helper()
 	keys := fillKeys(s, 64)[:8]
@@ -75,7 +68,6 @@ func measureReadSliceAllocs(t *testing.T, s *Server) float64 {
 }
 
 func TestReadSliceAllocsMemory(t *testing.T) {
-	skipUnderRace(t)
 	s := newAllocServer(t, "", "")
 	if allocs := measureReadSliceAllocs(t, s); allocs > 0 {
 		t.Fatalf("readSlice(8 keys, memory engine) allocates %.1f/op, want 0 (baseline before this PR: 5)", allocs)
@@ -83,7 +75,6 @@ func TestReadSliceAllocsMemory(t *testing.T) {
 }
 
 func TestReadSliceAllocsWAL(t *testing.T) {
-	skipUnderRace(t)
 	s := newAllocServer(t, "wal", t.TempDir())
 	if allocs := measureReadSliceAllocs(t, s); allocs > 0 {
 		t.Fatalf("readSlice(8 keys, wal engine) allocates %.1f/op, want 0 (baseline before this PR: 5)", allocs)
@@ -91,7 +82,6 @@ func TestReadSliceAllocsWAL(t *testing.T) {
 }
 
 func TestReadSliceAllocsSST(t *testing.T) {
-	skipUnderRace(t)
 	s := newAllocServer(t, "sst", t.TempDir())
 	// Flush the first fill into an immutable run so the measurement covers
 	// the tiered path — memtable probe plus lock-free run merge — not just
@@ -133,7 +123,6 @@ func (n *syncNet) Close() {}
 // the same cycle cost 7 allocations (visibility closure, result slice,
 // grouping scratch ×2, item slice, response message and its items).
 func TestSliceReqServeAllocs(t *testing.T) {
-	skipUnderRace(t)
 	net := newSyncNet()
 	s, err := NewServer(ServerConfig{
 		DC: 0, Partition: 0, NumDCs: 1, NumPartitions: 1, Network: net,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wren/internal/fanin"
+	"wren/internal/freelist"
 	"wren/internal/hlc"
 	"wren/internal/replica"
 	"wren/internal/sharding"
@@ -172,6 +173,10 @@ type readScratch struct {
 	vers    []*store.Version
 }
 
+// scratchIdle bounds the idle read scratch a server keeps: one per read
+// handler running at once, which the delivery goroutines bound.
+const scratchIdle = 256
+
 // Metrics exposes server-side counters for tests and the benchmark harness.
 type Metrics struct {
 	TxStarted     stats.Counter
@@ -209,8 +214,10 @@ type Server struct {
 	txCtx *stripemap.Map[txContext]
 
 	// readPool holds readScratch, fanPool holds fanin.Fanout scratch.
-	readPool sync.Pool
-	fanPool  sync.Pool
+	// Lock-free free lists, not sync.Pools: the read handlers must take
+	// no server-wide mutex (see package freelist).
+	readPool *freelist.List[readScratch]
+	fanPool  *freelist.List[fanin.Fanout]
 
 	// gossipMu guards the BiST aggregation arrays. Protocol-only state:
 	// the runtime's writer mutex is never taken on the gossip path.
@@ -247,14 +254,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.rt = rt
 	s.st = rt.Engine()
-	s.readPool.New = func() any {
+	s.readPool = freelist.New(scratchIdle, func() *readScratch {
 		rs := &readScratch{pred: cantorPred{localDC: uint8(cfg.DC)}}
 		// Bind the method value once: reusing it is what keeps the
 		// predicate allocation off the per-read path.
 		rs.visible = rs.pred.visible
 		return rs
-	}
-	s.fanPool.New = func() any { return &fanin.Fanout{} }
+	})
+	s.fanPool = freelist.New(scratchIdle, func() *fanin.Fanout { return &fanin.Fanout{} })
 	return s, nil
 }
 
@@ -300,6 +307,16 @@ func (s *Server) ShedRequests() uint64 { return s.rt.ShedCount() }
 // runtime's apply (ΔR), stabilization (ΔG), garbage-collection and
 // lifecycle loops.
 func (s *Server) Start() { s.rt.Start() }
+
+// ApplyTick runs one round of the apply loop now (Algorithm 4 lines
+// 5–21) instead of waiting for the next ΔR tick: apply the committed
+// transactions below the safe bound, replicate them, and heartbeat idle
+// peers.
+func (s *Server) ApplyTick() { s.rt.ApplyTick(true) }
+
+// CommitQueueLen reports how many committed transactions wait for the
+// next apply tick.
+func (s *Server) CommitQueueLen() int { return s.rt.CommitQueueLen() }
 
 // Stop terminates the background loops, flushes any transactions still on
 // the commit list into the store, and closes the storage engine and the
@@ -525,7 +542,7 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 		return
 	}
 
-	fo := s.fanPool.Get().(*fanin.Fanout)
+	fo := s.fanPool.Get()
 	fo.Reset(s.cfg.NumPartitions)
 	for _, k := range m.Keys {
 		fo.Add(sharding.PartitionOf(k, s.cfg.NumPartitions), k)
@@ -595,7 +612,7 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 	s.rst.Advance(m.RT)
 
 	resp := &wire.ScanResp{ReqID: m.ReqID}
-	rs := s.readPool.Get().(*readScratch)
+	rs := s.readPool.Get()
 	rs.pred.lt, rs.pred.rt = m.LT, m.RT
 	// A scan error means a failed storage backend; it already surfaces
 	// through Healthy and write admission, so the reply carries whatever
@@ -623,7 +640,7 @@ func (s *Server) handleScanReq(from transport.NodeID, m *wire.ScanReq) {
 // this snapshot — it hides older versions and is reported as absence (no
 // item), like a key never written.
 func (s *Server) readSlice(keys []string, lt, rt hlc.Timestamp, dst []wire.Item) []wire.Item {
-	rs := s.readPool.Get().(*readScratch)
+	rs := s.readPool.Get()
 	rs.pred.lt, rs.pred.rt = lt, rt
 	rs.vers = s.st.ReadVisibleBatchInto(keys, rs.visible, rs.vers)
 	for i, v := range rs.vers {

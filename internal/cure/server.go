@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wren/internal/fanin"
+	"wren/internal/freelist"
 	"wren/internal/hlc"
 	"wren/internal/replica"
 	"wren/internal/sharding"
@@ -136,6 +137,10 @@ type readScratch struct {
 	vers    []*store.Version
 }
 
+// scratchIdle bounds the idle read scratch a server keeps: one per read
+// handler running at once, which the delivery goroutines bound.
+const scratchIdle = 256
+
 // Metrics exposes Cure server counters; BlockedReads/BlockedMicros feed the
 // paper's Figure 3b.
 type Metrics struct {
@@ -175,8 +180,8 @@ type Server struct {
 
 	txCtx *stripemap.Map[*txContext]
 
-	readPool sync.Pool
-	fanPool  sync.Pool
+	readPool *freelist.List[readScratch]
+	fanPool  *freelist.List[fanin.Fanout]
 
 	// mu guards the parked-reader list and the gossip aggregation.
 	// Protocol-only state: disjoint from the runtime's writer mutex.
@@ -215,12 +220,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.rt = rt
 	s.st = rt.Engine()
-	s.readPool.New = func() any {
+	s.readPool = freelist.New(scratchIdle, func() *readScratch {
 		rs := &readScratch{}
 		rs.visible = rs.pred.visible
 		return rs
-	}
-	s.fanPool.New = func() any { return &fanin.Fanout{} }
+	})
+	s.fanPool = freelist.New(scratchIdle, func() *fanin.Fanout { return &fanin.Fanout{} })
 	return s, nil
 }
 
@@ -255,6 +260,16 @@ func (s *Server) ShedRequests() uint64 { return s.rt.ShedCount() }
 
 // Start registers the server and launches the runtime's background loops.
 func (s *Server) Start() { s.rt.Start() }
+
+// ApplyTick runs one round of the apply loop now (Algorithm 4 lines
+// 5–21) instead of waiting for the next ΔR tick: apply the committed
+// transactions below the safe bound, replicate them, and heartbeat idle
+// peers.
+func (s *Server) ApplyTick() { s.rt.ApplyTick(true) }
+
+// CommitQueueLen reports how many committed transactions wait for the
+// next apply tick.
+func (s *Server) CommitQueueLen() int { return s.rt.CommitQueueLen() }
 
 // Stop terminates background loops, flushes the commit list into the
 // store, and closes the storage engine and transaction log.
@@ -534,7 +549,7 @@ func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 		return
 	}
 
-	fo := s.fanPool.Get().(*fanin.Fanout)
+	fo := s.fanPool.Get()
 	fo.Reset(s.cfg.NumPartitions)
 	for _, k := range m.Keys {
 		fo.Add(sharding.PartitionOf(k, s.cfg.NumPartitions), k)
@@ -605,7 +620,7 @@ func (s *Server) handleSliceReq(from transport.NodeID, m *wire.SliceReq) {
 // vector is within the snapshot. The response and its working memory come
 // from pools; the receiver releases the response.
 func (s *Server) serveSlice(to transport.NodeID, reqID uint64, keys []string, sv []hlc.Timestamp, blocked time.Duration) {
-	rs := s.readPool.Get().(*readScratch)
+	rs := s.readPool.Get()
 	rs.pred.sv = sv
 	rs.vers = s.st.ReadVisibleBatchInto(keys, rs.visible, rs.vers)
 	resp := wire.GetSliceResp()

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wren/internal/freelist"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -38,7 +39,9 @@ type TxRead struct {
 	resp *wire.TxReadResp
 }
 
-var pool = sync.Pool{New: func() any { return new(TxRead) }}
+// pool recycles TxReads. A lock-free free list, not a sync.Pool: Start
+// runs inside the read handlers, which must take no server-wide mutex.
+var pool = freelist.New(1024, func() *TxRead { return new(TxRead) })
 
 // Fanout is the reusable per-read key grouping both protocol servers pool:
 // Groups[p] collects the keys partition p owns, Touched lists the
@@ -76,7 +79,7 @@ func (f *Fanout) Add(p int, key string) {
 // responses. The returned TxRead must be registered under each remote
 // call's request id, then completed once with Finish by the coordinator.
 func Start(from transport.NodeID, reqID uint64, calls int) *TxRead {
-	r := pool.Get().(*TxRead)
+	r := pool.Get()
 	r.from = from
 	r.created = time.Now()
 	r.remaining.Store(int32(calls) + 1)

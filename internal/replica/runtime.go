@@ -89,8 +89,10 @@ const recoveryGrace = 15 * time.Second
 // to a cohort crash without waiting for this coordinator to restart.
 const redriveAfter = 5 * time.Second
 
-// resendBatchSize bounds how many recovered transactions one resync
-// Replicate message carries.
+// resendBatchSize bounds every Replicate message: a batch is cut once it
+// holds this many transactions, at the next commit-timestamp boundary
+// (see batchLen), whether it carries an apply tick's transactions or a
+// resync of the retained tail.
 const resendBatchSize = 128
 
 // lifecycleInterval is the period of the transaction-lifecycle maintenance
@@ -599,7 +601,8 @@ func (r *Runtime) TrackRead(reqID uint64, fi *fanin.TxRead) {
 	r.pendingSlice.Store(reqID, fi)
 }
 
-// CommitQueueLen reports the current commit-list length (tests only).
+// CommitQueueLen reports the current commit-list length: committed
+// transactions waiting for the next apply tick.
 func (r *Runtime) CommitQueueLen() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -739,11 +742,7 @@ func (r *Runtime) redriveRecovered() {
 // others.
 func (r *Runtime) resendTailTo(dc int, tail []*txlog.CommittedTx) {
 	defer r.wg.Done()
-	for i := 0; i < len(tail); i += resendBatchSize {
-		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-		for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-		}
+	for _, batch := range r.replicateBatches(tail, true) {
 		if !r.sendRetry(transport.ServerID(dc, r.cfg.Partition), batch) {
 			return
 		}
@@ -912,6 +911,34 @@ func (r *Runtime) GoAsync(fn func()) {
 		defer r.reqWG.Done()
 		fn()
 	}()
+}
+
+// replicateBatches packs committed transactions, in commit-timestamp
+// order, into this partition's Replicate messages, cut by batchLen.
+func (r *Runtime) replicateBatches(txs []*txlog.CommittedTx, resync bool) []*wire.Replicate {
+	var out []*wire.Replicate
+	for len(txs) > 0 {
+		n := batchLen(txs, resendBatchSize)
+		b := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: resync,
+			Txs: make([]wire.ReplTx, n)}
+		for i, t := range txs[:n] {
+			b.Txs[i] = r.proto.ReplTxRecord(t)
+		}
+		out = append(out, b)
+		txs = txs[n:]
+	}
+	return out
+}
+
+// batchLen returns how many of the commit-timestamp-ordered txs the next
+// Replicate carries: at least limit (or all of them), extended to the end
+// of the last transaction's equal-timestamp group so no group is split.
+func batchLen(txs []*txlog.CommittedTx, limit int) int {
+	n := min(limit, len(txs))
+	for n < len(txs) && txs[n].CT == txs[n-1].CT {
+		n++
+	}
+	return n
 }
 
 // sortCommitted orders transactions by (commit timestamp, id) — the apply
@@ -1516,26 +1543,23 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 	}
 	r.mu.Unlock()
 
-	// Apply in commit-timestamp order, grouping equal timestamps into one
-	// replication message (Algorithm 4 lines 8–16). Each group's writes go
-	// through one shard-grouped PutBatch, and all writes happen before
-	// the version vector is published so no reader can observe a stable
-	// time whose versions are missing.
+	// Apply in commit-timestamp order (Algorithm 4 lines 8–16). The whole
+	// tick's writes go through one shard-grouped PutBatch, before the
+	// version vector is published so no reader can observe a stable time
+	// whose versions are missing. The tick replicates as one message per
+	// peer DC rather than the paper's one per equal-timestamp group —
+	// commit timestamps rarely coincide, so per-group messages cost a
+	// message and a remote PutBatch per transaction. Only a tick larger
+	// than resendBatchSize is cut, and only between groups, so a receiver
+	// advancing its version vector to a batch's last timestamp never
+	// exposes part of a group.
 	sortCommitted(apply)
-	var batches []*wire.Replicate
-	for i := 0; i < len(apply); {
-		j := i
-		batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition)}
-		var puts []store.KV
-		for ; j < len(apply) && apply[j].CT == apply[i].CT; j++ {
-			t := apply[j]
-			puts = r.proto.AppendLocalPuts(puts, t, nil)
-			batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-		}
-		r.st.PutBatch(puts)
-		batches = append(batches, batch)
-		i = j
+	var puts []store.KV
+	for _, t := range apply {
+		puts = r.proto.AppendLocalPuts(puts, t, nil)
 	}
+	r.st.PutBatch(puts)
+	batches := r.replicateBatches(apply, false)
 
 	r.VV.Advance(r.cfg.DC, ub)
 	if r.tl != nil && len(apply) > 0 {
@@ -1568,11 +1592,7 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 			if !r.resyncTailSent[dc].Load() {
 				continue
 			}
-			for i, tail := 0, r.tl.UnreplicatedTail(dc); i < len(tail); i += resendBatchSize {
-				batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-				for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-					batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-				}
+			for _, batch := range r.replicateBatches(r.tl.UnreplicatedTail(dc), true) {
 				r.SendBounded(transport.ServerID(dc, r.cfg.Partition), batch)
 				r.replPrev.Advance(dc, batch.Txs[len(batch.Txs)-1].CT)
 			}
@@ -1813,11 +1833,7 @@ func (r *Runtime) liveResyncTick() {
 			continue
 		}
 		r.tailStall[dc] = 0
-		for i := 0; i < len(tail); i += resendBatchSize {
-			batch := &wire.Replicate{SrcDC: uint8(r.cfg.DC), Partition: uint16(r.cfg.Partition), Resync: true}
-			for _, t := range tail[i:min(i+resendBatchSize, len(tail))] {
-				batch.Txs = append(batch.Txs, r.proto.ReplTxRecord(t))
-			}
+		for _, batch := range r.replicateBatches(tail, true) {
 			if !r.SendBounded(transport.ServerID(dc, r.cfg.Partition), batch) {
 				break
 			}

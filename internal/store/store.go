@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"wren/internal/freelist"
 	"wren/internal/hlc"
 )
 
@@ -211,29 +212,65 @@ func (s *Store) PutBatch(kvs []KV) {
 // shard's members, in first-appearance order — the exact grouping
 // PutBatch uses internally. Engines that keep per-shard side state (the
 // WAL's log files) use it so their grouping can never drift from the
-// memory stripes'. The group slice is reused across calls; fn must not
-// retain it.
+// memory stripes'. It is one counting-sort pass, linear in len(kvs), and
+// its working memory is recycled, so a call allocates nothing in steady
+// state. The group slices are reused; fn must not retain them.
 func ForEachShardGroup(mask uint32, kvs []KV, fn func(shard uint32, group []KV)) {
-	ids := make([]uint32, len(kvs))
-	for i := range kvs {
-		ids[i] = fnv1a(kvs[i].Key) & mask
+	sc := shardGroupPool.Get()
+	if len(sc.next) < int(mask)+1 {
+		sc.next = make([]int32, int(mask)+1)
 	}
-	done := make([]bool, len(kvs))
-	group := make([]KV, 0, len(kvs))
-	for i := range kvs {
-		if done[i] {
-			continue
-		}
-		group = group[:0]
-		for j := i; j < len(kvs); j++ {
-			if !done[j] && ids[j] == ids[i] {
-				group = append(group, kvs[j])
-				done[j] = true
-			}
-		}
-		fn(ids[i], group)
+	if cap(sc.ids) < len(kvs) {
+		sc.ids = make([]uint32, len(kvs))
+		sc.out = make([]KV, len(kvs))
 	}
+	next, ids, out, touched := sc.next, sc.ids[:len(kvs)], sc.out[:len(kvs)], sc.touched[:0]
+	for i := range kvs {
+		id := fnv1a(kvs[i].Key) & mask
+		ids[i] = id
+		if next[id] == 0 {
+			touched = append(touched, id)
+		}
+		next[id]++
+	}
+	// Lay the groups out back to back in first-appearance order: next[id]
+	// turns from a member count into the group's next free slot in out.
+	var off int32
+	for _, id := range touched {
+		off, next[id] = off+next[id], off
+	}
+	for i := range kvs {
+		out[next[ids[i]]] = kvs[i]
+		next[ids[i]]++
+	}
+	// Each next[id] is now its group's end.
+	var start int32
+	for _, id := range touched {
+		fn(id, out[start:next[id]])
+		start = next[id]
+	}
+	for _, id := range touched {
+		next[id] = 0
+	}
+	clear(out) // don't pin versions while idle
+	sc.touched = touched
+	shardGroupPool.Put(sc)
 }
+
+// shardGroupScratch is ForEachShardGroup's working memory: next is indexed
+// by shard and all-zero between calls; ids, out and touched grow to the
+// largest batch seen.
+type shardGroupScratch struct {
+	next    []int32
+	ids     []uint32
+	out     []KV
+	touched []uint32
+}
+
+// shardGroupPool recycles ForEachShardGroup scratch. Nested calls (the WAL
+// groups a batch, then hands each group to its memtable's PutBatch) each
+// draw their own.
+var shardGroupPool = freelist.New(64, func() *shardGroupScratch { return new(shardGroupScratch) })
 
 // ReadVisible returns the freshest version of key that satisfies visible
 // (Alg. 3 lines 6–10), or nil if no version is visible.

@@ -9,7 +9,7 @@
 // single-threaded test replays the same fault sequence for the same seed.
 // Duplicated messages are delivered as deep clones (re-encoded and
 // decoded with copy semantics), never as a second reference to the same
-// pointer — several handlers return messages to sync.Pools after use.
+// pointer — several handlers return messages to pools after use.
 package chaos
 
 import (
@@ -223,12 +223,16 @@ func (n *Network) Send(from, to transport.NodeID, m wire.Message) error {
 	}
 	n.mu.Unlock()
 
-	l.enqueue(m, at)
+	// Clone before enqueueing the original: once m is on the link it may
+	// be delivered and released to a pool by its receiver at any moment.
+	var dup wire.Message
 	if !dupAt.IsZero() {
-		if c := cloneMessage(m); c != nil {
-			n.duplicated.Add(1)
-			l.enqueue(c, dupAt)
-		}
+		dup = cloneMessage(m)
+	}
+	l.enqueue(m, at)
+	if dup != nil {
+		n.duplicated.Add(1)
+		l.enqueue(dup, dupAt)
 	}
 	return nil
 }

@@ -237,23 +237,7 @@ func (n *Memory) Send(from, to NodeID, m wire.Message) error {
 		}
 	}
 
-	if from != to {
-		cls := m.Class()
-		sz := uint64(wire.Size(m))
-		st := &n.stats[int(cls)]
-		st.msgs.Add(1)
-		st.bytes.Add(sz)
-		if from.DC != to.DC {
-			st.interMsgs.Add(1)
-			st.interBytes.Add(sz)
-		}
-	}
-
-	l.enqueue(delivery{
-		at:   time.Now().Add(n.latency(from, to)),
-		from: from,
-		msg:  m,
-	})
+	l.enqueue(m, time.Now().Add(n.latency(from, to)))
 	return nil
 }
 
@@ -358,13 +342,16 @@ func (n *Memory) Close() {
 }
 
 type delivery struct {
-	at   time.Time
-	from NodeID
-	msg  wire.Message
+	at  time.Time
+	msg wire.Message
 }
 
 // link is a FIFO delivery queue for one (from, to) pair, drained by a
-// single goroutine so handler invocation order equals send order.
+// single goroutine so handler invocation order equals send order. In
+// steady state neither side allocates: senders append into a buffer the
+// delivery goroutine handed back, the goroutine takes the whole queue in
+// one swap, latency waits share one timer, and byte accounting measures
+// with the link's own sizer.
 type link struct {
 	net  *Memory
 	from NodeID
@@ -373,6 +360,7 @@ type link struct {
 	mu     sync.Mutex
 	q      []delivery
 	closed bool
+	sizer  wire.Sizer    // guarded by mu
 	notify chan struct{} // capacity 1: send-side kick
 	done   chan struct{}
 }
@@ -387,13 +375,23 @@ func newLink(n *Memory, from, to NodeID) *link {
 	}
 }
 
-func (l *link) enqueue(d delivery) {
+func (l *link) enqueue(m wire.Message, at time.Time) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
-	l.q = append(l.q, d)
+	if l.from != l.to {
+		sz := uint64(l.sizer.Size(m))
+		st := &l.net.stats[int(m.Class())]
+		st.msgs.Add(1)
+		st.bytes.Add(sz)
+		if l.from.DC != l.to.DC {
+			st.interMsgs.Add(1)
+			st.interBytes.Add(sz)
+		}
+	}
+	l.q = append(l.q, delivery{at: at, msg: m})
 	l.mu.Unlock()
 	select {
 	case l.notify <- struct{}{}:
@@ -411,65 +409,80 @@ func (l *link) close() {
 	}
 }
 
+// run delivers the queue until the link closes. Each round swaps the
+// whole pending queue out for the previous round's emptied buffer, so the
+// two buffers alternate and senders never wait on a delivery.
 func (l *link) run() {
+	var batch []delivery
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		if len(l.q) == 0 {
+		for len(l.q) == 0 && !l.closed {
 			l.mu.Unlock()
 			select {
 			case <-l.notify:
 			case <-l.done:
 				return
 			}
-			continue
+			l.mu.Lock()
 		}
-		head := l.q[0]
-		l.mu.Unlock()
-
-		// Honor link latency.
-		if wait := time.Until(head.at); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-l.done:
-				timer.Stop()
-				return
-			}
-		}
-
-		// Honor inter-DC partitions: hold delivery until healed.
-		if l.from.DC != l.to.DC {
-			for {
-				down, heal := l.net.isDCLinkDown(l.from.DC, l.to.DC)
-				if !down {
-					break
-				}
-				select {
-				case <-heal:
-				case <-l.done:
-					return
-				}
-			}
-		}
-
-		l.mu.Lock()
-		if l.closed || len(l.q) == 0 {
+		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		d := l.q[0]
-		l.q = l.q[1:]
+		batch, l.q = l.q, batch[:0]
 		l.mu.Unlock()
 
-		l.net.mu.RLock()
-		h := l.net.handlers[l.to]
-		l.net.mu.RUnlock()
-		if h != nil {
-			h.HandleMessage(d.from, d.msg)
+		for i := range batch {
+			if !l.deliver(&batch[i], timer) {
+				return
+			}
+			batch[i] = delivery{} // drop the reference: the buffer is reused
 		}
 	}
+}
+
+// deliver hands one message to the destination handler once its latency
+// has elapsed and its DC pair is not partitioned. It reports false when
+// the link closed first: undelivered messages are dropped.
+func (l *link) deliver(d *delivery, timer *time.Timer) bool {
+	// Honor link latency.
+	if wait := time.Until(d.at); wait > 0 {
+		timer.Reset(wait)
+		select {
+		case <-timer.C:
+		case <-l.done:
+			timer.Stop()
+			return false
+		}
+	}
+
+	// Honor inter-DC partitions: hold delivery until healed.
+	if l.from.DC != l.to.DC {
+		for {
+			down, heal := l.net.isDCLinkDown(l.from.DC, l.to.DC)
+			if !down {
+				break
+			}
+			select {
+			case <-heal:
+			case <-l.done:
+				return false
+			}
+		}
+	}
+
+	select {
+	case <-l.done:
+		return false
+	default:
+	}
+	l.net.mu.RLock()
+	h := l.net.handlers[l.to]
+	l.net.mu.RUnlock()
+	if h != nil {
+		h.HandleMessage(l.from, d.msg)
+	}
+	return true
 }

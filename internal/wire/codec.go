@@ -331,11 +331,24 @@ func EncodeInto(e *Encoder, m Message) {
 
 // Size returns the number of bytes the message occupies on the wire,
 // including the frame header. This is the quantity the transport layer
-// accounts per message class.
+// accounts per message class. It allocates its measuring encoder; hot
+// paths reuse a Sizer instead.
 func Size(m Message) int {
-	e := &Encoder{sizeOnly: true}
-	m.encodeTo(e)
-	return e.Len() + headerSize
+	var s Sizer
+	return s.Size(m)
+}
+
+// Sizer measures wire sizes like Size without encoding anything or
+// allocating. The zero value is ready to use; a Sizer is not safe for
+// concurrent use.
+type Sizer struct{ e Encoder }
+
+// Size returns the number of bytes m occupies on the wire, including the
+// frame header.
+func (s *Sizer) Size(m Message) int {
+	s.e = Encoder{sizeOnly: true}
+	m.encodeTo(&s.e)
+	return s.e.n + headerSize
 }
 
 // Decode parses a message of the given kind from payload bytes. Byte

@@ -606,8 +606,11 @@ type ReplTx struct {
 }
 
 // Replicate propagates applied transactions to the peer replicas of the
-// same partition in remote DCs (Alg. 4 line 14). Transactions with equal
-// commit timestamps are packed into one message, as in the paper.
+// same partition in remote DCs (Alg. 4 line 14). One message carries a
+// whole apply tick's transactions in commit-timestamp order; a large tick
+// is split only between groups of equal commit timestamps, so the batch's
+// last timestamp, to which the receiver advances its version vector,
+// never falls inside a group.
 //
 // Resync marks a re-sent batch: after a restart, the sender replays the
 // committed transactions above the receiver's replication cursor, and the

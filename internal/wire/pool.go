@@ -1,6 +1,6 @@
 package wire
 
-import "sync"
+import "wren/internal/freelist"
 
 // Read-path message pools. A slice read allocates three messages per hop
 // (SliceReq out, SliceResp back, TxReadResp to the client); pooling them —
@@ -15,16 +15,24 @@ import "sync"
 // one instead; the sender's copy is simply dropped to the GC (a pool miss,
 // not a leak). Releasing is always optional — a dropped message is
 // reclaimed by the GC like any other.
+//
+// The pools are lock-free free lists, not sync.Pools: these messages are
+// drawn inside the server read handlers, which must take no server-wide
+// mutex (see package freelist).
+
+// poolSize bounds each pool's idle messages: a few per in-flight slice
+// read of a large deployment; beyond it releases fall to the GC.
+const poolSize = 1024
 
 var (
-	sliceReqPool   = sync.Pool{New: func() any { return new(SliceReq) }}
-	sliceRespPool  = sync.Pool{New: func() any { return new(SliceResp) }}
-	txReadRespPool = sync.Pool{New: func() any { return new(TxReadResp) }}
+	sliceReqPool   = freelist.New(poolSize, func() *SliceReq { return new(SliceReq) })
+	sliceRespPool  = freelist.New(poolSize, func() *SliceResp { return new(SliceResp) })
+	txReadRespPool = freelist.New(poolSize, func() *TxReadResp { return new(TxReadResp) })
 )
 
 // GetSliceReq returns an empty SliceReq. Keys keeps the capacity of its
 // previous use; append into Keys[:0].
-func GetSliceReq() *SliceReq { return sliceReqPool.Get().(*SliceReq) }
+func GetSliceReq() *SliceReq { return sliceReqPool.Get() }
 
 // PutSliceReq releases m for reuse. The Keys backing array is retained
 // (its strings are cleared so it pins nothing); SV is NOT retained — on
@@ -39,7 +47,7 @@ func PutSliceReq(m *SliceReq) {
 
 // GetSliceResp returns an empty SliceResp. Items keeps the capacity of its
 // previous use; append into Items[:0].
-func GetSliceResp() *SliceResp { return sliceRespPool.Get().(*SliceResp) }
+func GetSliceResp() *SliceResp { return sliceRespPool.Get() }
 
 // PutSliceResp releases m for reuse, clearing Items so the pooled slot
 // does not pin keys and values of a finished read.
@@ -52,7 +60,7 @@ func PutSliceResp(m *SliceResp) {
 
 // GetTxReadResp returns an empty TxReadResp. Items keeps the capacity of
 // its previous use; append into Items[:0].
-func GetTxReadResp() *TxReadResp { return txReadRespPool.Get().(*TxReadResp) }
+func GetTxReadResp() *TxReadResp { return txReadRespPool.Get() }
 
 // PutTxReadResp releases m for reuse. Chunks are dropped to the GC, not
 // retained: their backing arrays were detached from SliceResp messages by
