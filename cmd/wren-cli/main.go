@@ -1,7 +1,7 @@
 // Command wren-cli is an interactive client for a TCP Wren deployment
 // started with cmd/wren-server.
 //
-//	wren-cli -dcs 1 -partitions 2 -peers 0/0=127.0.0.1:7000,0/1=127.0.0.1:7001
+//	wren-cli -partitions 2 -peers 0/0=127.0.0.1:7000,0/1=127.0.0.1:7001
 //
 // Commands:
 //
@@ -34,7 +34,9 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/peers"
+	"wren/internal/session"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 	"wren/internal/transport/tcp"
 )
 
@@ -49,7 +51,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("wren-cli", flag.ContinueOnError)
 	var (
 		dc          = fs.Int("dc", 0, "client's local DC")
-		dcs         = fs.Int("dcs", 1, "total number of DCs")
 		partitions  = fs.Int("partitions", 1, "partitions per DC")
 		peersFlag   = fs.String("peers", "", "comma-separated dc/partition=host:port for the local DC's servers")
 		coordinator = fs.Int("coordinator", 0, "coordinator partition (-1 = random per transaction)")
@@ -61,7 +62,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	_ = dcs
 	if *reqTimeout <= 0 {
 		return fmt.Errorf("-request-timeout must be positive")
 	}
@@ -86,13 +86,13 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	}
 	defer net.Close()
 
-	client, err := core.NewClient(core.ClientConfig{
-		DC: *dc, ClientIndex: *clientIdx,
+	client, err := core.NewClient(session.Config{
+		DC:                   *dc,
 		NumPartitions:        *partitions,
-		Network:              net,
+		Conn:                 pool.Single(net, transport.ClientID(*dc, *clientIdx)),
 		CoordinatorPartition: *coordinator,
 		RequestTimeout:       *reqTimeout,
-		Retry:                core.RetryPolicy{Attempts: *retries, Backoff: *retryWait},
+		Retry:                session.RetryPolicy{Attempts: *retries, Backoff: *retryWait},
 	})
 	if err != nil {
 		return err
@@ -348,17 +348,21 @@ func showHealth(client *core.Client, partitions int, out io.Writer) {
 }
 
 // printErr reports a command failure, classifying the cause so a slow
-// server (timeout), a misconfigured peer map (no route), and an in-doubt
-// commit read differently at the prompt.
+// server (timeout), a misconfigured peer map (no route), a degraded
+// coordinator (read-only) and an in-doubt commit read differently at the
+// prompt.
 func printErr(out io.Writer, err error) {
 	switch {
-	case errors.Is(err, core.ErrInDoubt):
+	case errors.Is(err, session.ErrReadOnly):
+		fmt.Fprintln(out, "error (read-only):", err)
+		fmt.Fprintln(out, "  the server's durability is degraded and the write did not commit; run health, or retry with another -coordinator")
+	case errors.Is(err, session.ErrInDoubt):
 		fmt.Fprintln(out, "error (in doubt):", err)
 		fmt.Fprintln(out, "  the commit may or may not have landed; read the keys back before retrying")
-	case errors.Is(err, core.ErrAborted):
+	case errors.Is(err, session.ErrAborted):
 		fmt.Fprintln(out, "error (aborted):", err)
 		fmt.Fprintln(out, "  the transaction did not commit; safe to retry")
-	case errors.Is(err, core.ErrTimeout):
+	case errors.Is(err, session.ErrTimeout):
 		fmt.Fprintln(out, "error (timeout):", err)
 		fmt.Fprintln(out, "  server unresponsive; consider raising -request-timeout or -retries")
 	case errors.Is(err, tcp.ErrNoRoute):

@@ -6,7 +6,7 @@
 //	    -listen 127.0.0.1:7000 -peers 0/0=127.0.0.1:7000,0/1=127.0.0.1:7001 &
 //	wren-server -dc 0 -partition 1 -dcs 1 -partitions 2 \
 //	    -listen 127.0.0.1:7001 -peers 0/0=127.0.0.1:7000,0/1=127.0.0.1:7001 &
-//	wren-cli -dcs 1 -partitions 2 -coordinator 0 \
+//	wren-cli -partitions 2 -coordinator 0 \
 //	    -peers 0/0=127.0.0.1:7000,0/1=127.0.0.1:7001
 //
 // The -peers list must name every partition of every DC as dc/partition=addr.

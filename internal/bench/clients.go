@@ -14,9 +14,9 @@ import (
 
 // The clients sweep prices the multiplexed client stack: the same
 // closed-loop session workload (begin, read two keys, write one, commit)
-// on a Wren memory cluster, once with the legacy one-endpoint-per-session
-// wiring and once with every session pipelining over the DC's shared
-// connection pool, at each session count. The pooled rows also exercise
+// on a Wren memory cluster, once with one single-endpoint pool per session
+// (the "unpooled" rows) and once with every session pipelining over the
+// DC's shared connection pool, at each session count. The pooled rows also exercise
 // per-connection admission control — thousands of sessions funnel through
 // a handful of links, so servers shed past the inflight bound and clients
 // retry after backoff — and the sweep proves no request is lost to that

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"wren/internal/core"
+	"wren/internal/session"
 	"wren/internal/store"
 	"wren/internal/transport/chaos"
 )
@@ -306,7 +306,7 @@ func TestChaosFenceDelayedCommit(t *testing.T) {
 	})
 	defer restore.Stop()
 
-	if _, err := tx.Commit(); !errors.Is(err, core.ErrAborted) {
+	if _, err := tx.Commit(); !errors.Is(err, session.ErrAborted) {
 		t.Fatalf("delayed commit: want ErrAborted via termination probe, got %v", err)
 	}
 

@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,6 +15,7 @@ import (
 	"wren/internal/core"
 	"wren/internal/cure"
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
 	"wren/internal/transport/chaos"
 	"wren/internal/transport/pool"
@@ -84,8 +84,9 @@ type Config struct {
 	// server read-only until restart — what degradation tests want.
 	RepairInterval time.Duration
 	// ClientFailover makes sessions returned by NewClient retry a commit
-	// refused with a read-only error once, against a different healthy
-	// coordinator partition, instead of surfacing the error immediately.
+	// refused as read-only or aborted once, against a different
+	// coordinator partition, instead of surfacing the error immediately
+	// (session.Config.Failover).
 	ClientFailover bool
 	// BlockingCommit enables the commit-blocks-until-stable ablation on
 	// Wren servers (the "simple solution" the paper rejects in §III-B).
@@ -143,8 +144,8 @@ type Config struct {
 	// shared connection pool with this many links instead of registering
 	// one network endpoint per session: requests from many sessions
 	// pipeline concurrently over the pool's links and responses are
-	// demultiplexed by request id. Zero keeps the legacy
-	// one-endpoint-per-session wiring.
+	// demultiplexed by request id. Zero gives every session a
+	// one-endpoint pool of its own (one NodeID per session).
 	ClientPoolLinks int
 	// MaxInflightPerConn bounds how many admitted requests one client
 	// connection may have outstanding per server; excess requests are shed
@@ -376,8 +377,8 @@ func (c *Cluster) fabric() transport.Network {
 }
 
 // poolNodeBase offsets pool-endpoint node indices far above per-session
-// client indices, so pooled link ids can never collide with the ids of
-// legacy unpooled sessions on the same fabric.
+// client indices, so shared link ids can never collide with the ids of
+// single-endpoint sessions on the same fabric.
 const poolNodeBase = 1 << 20
 
 // poolForDC returns the DC's shared client connection pool, building it on
@@ -410,7 +411,7 @@ func (c *Cluster) poolForDC(dc int) (*pool.Pool, error) {
 // per transaction. With Config.ClientPoolLinks set, the session does not
 // get a network endpoint of its own: it binds to one link of the DC's
 // shared connection pool and its requests pipeline there alongside every
-// other session's.
+// other session's; otherwise it gets a one-endpoint pool of its own.
 func (c *Cluster) NewClient(dc, coordinator int) (Client, error) {
 	if dc < 0 || dc >= c.cfg.NumDCs {
 		return nil, fmt.Errorf("cluster: DC %d out of range", dc)
@@ -422,7 +423,7 @@ func (c *Cluster) NewClient(dc, coordinator int) (Client, error) {
 	}
 	c.clientSeq++
 	idx := c.clientSeq
-	var conn *pool.Conn
+	var conn session.Conn
 	if c.cfg.ClientPoolLinks > 0 {
 		p, err := c.poolForDC(dc)
 		if err != nil {
@@ -430,57 +431,42 @@ func (c *Cluster) NewClient(dc, coordinator int) (Client, error) {
 			return nil, err
 		}
 		conn = p.Bind()
+	} else {
+		conn = pool.Single(c.fabric(), transport.ClientID(dc, idx))
 	}
 	c.mu.Unlock()
 
-	var sess session
-	switch c.cfg.Protocol {
-	case Wren:
-		cfg := core.ClientConfig{
-			DC: dc, ClientIndex: idx,
-			NumPartitions:        c.cfg.NumPartitions,
-			Network:              c.fabric(),
-			CoordinatorPartition: coordinator,
-			RequestTimeout:       c.cfg.RequestTimeout,
-			Retry: core.RetryPolicy{
-				Attempts: c.cfg.RetryAttempts,
-				Backoff:  c.cfg.RetryBackoff,
-			},
-		}
-		if conn != nil {
-			cfg.Conn = conn
-		}
-		cl, err := core.NewClient(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sess = wrenClient{cl}
-	default:
-		cfg := cure.ClientConfig{
-			DC: dc, ClientIndex: idx,
-			NumDCs:               c.cfg.NumDCs,
-			NumPartitions:        c.cfg.NumPartitions,
-			Network:              c.fabric(),
-			CoordinatorPartition: coordinator,
-			RequestTimeout:       c.cfg.RequestTimeout,
-			Retry: cure.RetryPolicy{
-				Attempts: c.cfg.RetryAttempts,
-				Backoff:  c.cfg.RetryBackoff,
-			},
-		}
-		if conn != nil {
-			cfg.Conn = conn
-		}
-		cl, err := cure.NewClient(cfg)
-		if err != nil {
-			return nil, err
-		}
-		sess = cureClient{cl}
+	var causal session.Causal
+	if c.cfg.Protocol == Wren {
+		causal = core.NewCausal()
+	} else {
+		causal = cure.NewCausal(dc, c.cfg.NumDCs)
 	}
-	if c.cfg.ClientFailover {
-		return &failoverClient{sess: sess, numPartitions: c.cfg.NumPartitions}, nil
+	s, err := session.New(session.Config{
+		DC:                   dc,
+		NumPartitions:        c.cfg.NumPartitions,
+		Conn:                 conn,
+		CoordinatorPartition: coordinator,
+		RequestTimeout:       c.cfg.RequestTimeout,
+		Retry:                session.RetryPolicy{Attempts: c.cfg.RetryAttempts, Backoff: c.cfg.RetryBackoff},
+		Failover:             c.cfg.ClientFailover,
+	}, causal)
+	if err != nil {
+		return nil, err
 	}
-	return sess, nil
+	return sessionClient{s}, nil
+}
+
+// sessionClient adapts *session.Session to the Client interface, whose Begin
+// returns the Tx interface rather than the concrete transaction.
+type sessionClient struct{ *session.Session }
+
+func (c sessionClient) Begin() (Tx, error) {
+	tx, err := c.Session.Begin()
+	if err != nil {
+		return nil, err
+	}
+	return tx, nil
 }
 
 // ClientPool returns the DC's shared connection pool for stats inspection,
@@ -694,184 +680,4 @@ func (c *Cluster) stop(kill bool) {
 	}
 }
 
-// session is the protocol-side surface the failover wrapper needs beyond
-// the public Client interface: explicit-coordinator begins, health probes,
-// and read-only error detection.
-type session interface {
-	Client
-	beginAt(coordinator int) (Tx, error)
-	health(partition int) (readOnly bool, detail string, err error)
-	isReadOnly(err error) bool
-	// isAborted reports a commit that definitely did not land and whose
-	// transaction id the coordinator has fenced — the other replay-safe
-	// refusal besides read-only admission.
-	isAborted(err error) bool
-}
-
-// wrenClient adapts *core.Client to the Client interface.
-type wrenClient struct{ c *core.Client }
-
-func (w wrenClient) Begin() (Tx, error) {
-	tx, err := w.c.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (w wrenClient) beginAt(coordinator int) (Tx, error) {
-	tx, err := w.c.BeginAt(coordinator)
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (w wrenClient) health(partition int) (bool, string, error) { return w.c.Health(partition) }
-
-func (w wrenClient) isReadOnly(err error) bool { return errors.Is(err, core.ErrReadOnly) }
-
-func (w wrenClient) isAborted(err error) bool { return errors.Is(err, core.ErrAborted) }
-
-func (w wrenClient) Close() { w.c.Close() }
-
-// cureClient adapts *cure.Client to the Client interface.
-type cureClient struct{ c *cure.Client }
-
-func (cc cureClient) Begin() (Tx, error) {
-	tx, err := cc.c.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (cc cureClient) beginAt(coordinator int) (Tx, error) {
-	tx, err := cc.c.BeginAt(coordinator)
-	if err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
-func (cc cureClient) health(partition int) (bool, string, error) { return cc.c.Health(partition) }
-
-func (cc cureClient) isReadOnly(err error) bool { return errors.Is(err, cure.ErrReadOnly) }
-
-func (cc cureClient) isAborted(err error) bool { return errors.Is(err, cure.ErrAborted) }
-
-func (cc cureClient) Close() { cc.c.Close() }
-
-// failoverClient wraps a session so that a commit refused with a read-only
-// error is retried ONCE against a different healthy coordinator partition
-// instead of surfacing the refusal immediately. The refusal means the
-// transaction did not commit anywhere, so replaying the buffered write set
-// through a fresh transaction on the same session is safe — and the
-// session's causal state (Wren's hwt and write cache, Cure's dependency
-// vector) guarantees the retried commit still lands strictly after
-// everything the session has observed.
-type failoverClient struct {
-	sess          session
-	numPartitions int
-}
-
-func (f *failoverClient) Begin() (Tx, error) {
-	tx, err := f.sess.Begin()
-	if err != nil {
-		return nil, err
-	}
-	return &failoverTx{Tx: tx, f: f}, nil
-}
-
-func (f *failoverClient) Close() { f.sess.Close() }
-
-// writeOp is one buffered mutation, recorded in arrival order so a replay
-// preserves last-write-wins within the transaction.
-type writeOp struct {
-	key   string
-	value []byte
-	del   bool
-}
-
-// failoverTx records the transaction's mutations so a refused commit can
-// be replayed on a different coordinator.
-type failoverTx struct {
-	Tx
-	f      *failoverClient
-	writes []writeOp
-}
-
-func (t *failoverTx) Write(key string, value []byte) error {
-	if err := t.Tx.Write(key, value); err != nil {
-		return err
-	}
-	t.writes = append(t.writes, writeOp{key: key, value: value})
-	return nil
-}
-
-func (t *failoverTx) Delete(key string) error {
-	if err := t.Tx.Delete(key); err != nil {
-		return err
-	}
-	t.writes = append(t.writes, writeOp{key: key, del: true})
-	return nil
-}
-
-func (t *failoverTx) Commit() (hlc.Timestamp, error) {
-	ct, err := t.Tx.Commit()
-	if err == nil {
-		return ct, err
-	}
-	failed := t.Tx.Coordinator()
-	alt := -1
-	switch {
-	case t.f.sess.isReadOnly(err):
-		// The refused coordinator is degraded; probe the remaining
-		// partitions for a healthy one and replay there. If none answers
-		// healthy, the original refusal stands.
-		for p := 0; p < t.f.numPartitions; p++ {
-			if p == failed {
-				continue
-			}
-			if ro, _, herr := t.f.sess.health(p); herr == nil && !ro {
-				alt = p
-				break
-			}
-		}
-	case t.f.sess.isAborted(err):
-		// The commit is fenced: it can never land, so replaying is safe.
-		// The coordinator may merely be unreachable rather than unhealthy,
-		// so skip the health hunt and go straight to the next partition —
-		// the session's own retry policy keeps failing over from there.
-		alt = (failed + 1) % t.f.numPartitions
-	default:
-		return ct, err
-	}
-	if alt < 0 || alt == failed {
-		return 0, err
-	}
-	retry, berr := t.f.sess.beginAt(alt)
-	if berr != nil {
-		return 0, err
-	}
-	for _, w := range t.writes {
-		var werr error
-		if w.del {
-			werr = retry.Delete(w.key)
-		} else {
-			werr = retry.Write(w.key, w.value)
-		}
-		if werr != nil {
-			_ = retry.Abort()
-			return 0, err
-		}
-	}
-	// A second refusal (or any other failure) surfaces directly: the
-	// failover retries once, it does not hunt.
-	return retry.Commit()
-}
-
-var (
-	_ Tx = (*core.Tx)(nil)
-	_ Tx = (*cure.Tx)(nil)
-)
+var _ Tx = (*session.Tx)(nil)

@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"wren/internal/core"
-	"wren/internal/cure"
+	"wren/internal/session"
 	"wren/internal/txlog"
 )
 
@@ -69,7 +68,7 @@ func lifecycleServerAt(cl *Cluster, dc, p int) lifecycleServer {
 
 // isReadOnlyErr matches either protocol's typed read-only refusal.
 func isReadOnlyErr(err error) bool {
-	return errors.Is(err, core.ErrReadOnly) || errors.Is(err, cure.ErrReadOnly)
+	return errors.Is(err, session.ErrReadOnly)
 }
 
 // keyOwnedBy finds a key the given partition owns, with a prefix unique

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"wren/internal/core"
+	"wren/internal/session"
 	"wren/internal/transport/chaos"
 )
 
@@ -107,7 +107,7 @@ func TestPooledPipeliningStress(t *testing.T) {
 					// lost commit response: the transaction provably did
 					// NOT land, so the session continues without counting
 					// the iteration. Anything else is a real failure.
-					if errors.Is(err, core.ErrAborted) {
+					if errors.Is(err, session.ErrAborted) {
 						continue
 					}
 					errCh <- fmt.Errorf("session %d: commit: %w", s, err)

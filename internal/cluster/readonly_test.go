@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
-	"wren/internal/core"
-	"wren/internal/cure"
+	"wren/internal/session"
 )
 
 // TestReadOnlyAdmission proves the servers ACT on the durability health
@@ -77,16 +75,14 @@ func testReadOnlyAdmission(t *testing.T, proto Protocol) {
 
 	// Degrade partition 1's transaction log. Partition 0 stays healthy.
 	injected := errors.New("injected log failure")
-	var wantErr error
+	wantErr := session.ErrReadOnly
 	if proto == Wren {
 		cl.WrenServer(0, 1).TxLog().InjectFailure(injected)
-		wantErr = core.ErrReadOnly
 		if !cl.WrenServer(0, 1).ReadOnly() || cl.WrenServer(0, 0).ReadOnly() {
 			t.Fatal("ReadOnly flags wrong after injection")
 		}
 	} else {
 		cl.CureServer(0, 1).TxLog().InjectFailure(injected)
-		wantErr = cure.ErrReadOnly
 		if !cl.CureServer(0, 1).ReadOnly() || cl.CureServer(0, 0).ReadOnly() {
 			t.Fatal("ReadOnly flags wrong after injection")
 		}
@@ -144,32 +140,12 @@ func testReadOnlyAdmission(t *testing.T, proto Protocol) {
 	// The degraded state is observable over the wire (wren-cli health).
 	probe := func(p int) (bool, string) {
 		t.Helper()
-		if proto == Wren {
-			c, err := core.NewClient(core.ClientConfig{
-				DC: 0, ClientIndex: 9000 + p, NumPartitions: cfg.NumPartitions,
-				Network: cl.Network(), CoordinatorPartition: p,
-				RequestTimeout: 5 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			ro, detail, err := c.Health(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ro, detail
-		}
-		c, err := cure.NewClient(cure.ClientConfig{
-			DC: 0, ClientIndex: 9000 + p, NumDCs: 1, NumPartitions: cfg.NumPartitions,
-			Network: cl.Network(), CoordinatorPartition: p,
-			RequestTimeout: 5 * time.Second,
-		})
+		c, err := cl.NewClient(0, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		ro, detail, err := c.Health(p)
+		ro, detail, err := c.(sessionClient).Health(p)
 		if err != nil {
 			t.Fatal(err)
 		}

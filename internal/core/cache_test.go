@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 )
 
 // TestCacheOverwritesDuplicateEntries verifies Algorithm 1 line 31: moving
@@ -58,9 +60,9 @@ func TestCacheServesManyKeys(t *testing.T) {
 // session monotonicity across coordinators.
 func TestRandomCoordinatorMode(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 4})
-	c, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 999, NumPartitions: 4,
-		Network:              tc.net,
+	c, err := NewClient(session.Config{
+		DC: 0, NumPartitions: 4,
+		Conn:                 tc.conn(0, 999),
 		CoordinatorPartition: -1,
 		RequestTimeout:       5 * time.Second,
 	})
@@ -101,9 +103,9 @@ func TestRandomCoordinatorMode(t *testing.T) {
 // stable snapshot, making it instantly visible to other sessions.
 func TestBlockingCommitAblationBehaviour(t *testing.T) {
 	net, servers := newAblationCluster(t, 2, true)
-	c, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 1, NumPartitions: 2,
-		Network:              net,
+	c, err := NewClient(session.Config{
+		DC: 0, NumPartitions: 2,
+		Conn:                 pool.Single(net, transport.ClientID(0, 1)),
 		CoordinatorPartition: 0,
 		RequestTimeout:       5 * time.Second,
 	})
@@ -117,9 +119,9 @@ func TestBlockingCommitAblationBehaviour(t *testing.T) {
 		t.Fatalf("blocking commit returned before stabilization: lst=%v < ct=%v", lst, ct)
 	}
 	// And a different session must see the write immediately.
-	other, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 2, NumPartitions: 2,
-		Network:              net,
+	other, err := NewClient(session.Config{
+		DC: 0, NumPartitions: 2,
+		Conn:                 pool.Single(net, transport.ClientID(0, 2)),
 		CoordinatorPartition: 0,
 		RequestTimeout:       5 * time.Second,
 	})

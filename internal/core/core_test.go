@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 )
 
 // testCluster wires up M DCs x N partitions of Wren servers over an
@@ -84,11 +86,10 @@ func (tc *testCluster) close() {
 
 func (tc *testCluster) client(dc int) *Client {
 	tc.t.Helper()
-	c, err := NewClient(ClientConfig{
+	c, err := NewClient(session.Config{
 		DC:                   dc,
-		ClientIndex:          len(tc.clients),
 		NumPartitions:        tc.parts,
-		Network:              tc.net,
+		Conn:                 tc.conn(dc, len(tc.clients)),
 		CoordinatorPartition: 0,
 		RequestTimeout:       5 * time.Second,
 	})
@@ -97,6 +98,11 @@ func (tc *testCluster) client(dc int) *Client {
 	}
 	tc.clients = append(tc.clients, c)
 	return c
+}
+
+// conn returns a single-endpoint connection for client idx in dc.
+func (tc *testCluster) conn(dc, idx int) session.Conn {
+	return pool.Single(tc.net, transport.ClientID(dc, idx))
 }
 
 // commitKV runs a single-transaction write of the given pairs.
@@ -343,8 +349,8 @@ func TestReadsNeverBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		if tx.BlockedMicros != 0 {
-			t.Fatalf("Wren read reported blocking: %dµs", tx.BlockedMicros)
+		if tx.Blocked() != 0 {
+			t.Fatalf("Wren read reported blocking: %v", tx.Blocked())
 		}
 		if elapsed > 40*time.Millisecond {
 			t.Fatalf("read took %v; nonblocking reads must not wait out clock skew", elapsed)
@@ -550,19 +556,19 @@ func TestTxLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Begin(); err != ErrTxOpen {
+	if _, err := c.Begin(); err != session.ErrTxOpen {
 		t.Fatalf("second Begin = %v, want ErrTxOpen", err)
 	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != ErrTxDone {
+	if _, err := tx.Commit(); err != session.ErrTxDone {
 		t.Fatalf("double Commit = %v, want ErrTxDone", err)
 	}
-	if _, err := tx.Read("k"); err != ErrTxDone {
+	if _, err := tx.Read("k"); err != session.ErrTxDone {
 		t.Fatalf("Read after Commit = %v, want ErrTxDone", err)
 	}
-	if err := tx.Write("k", nil); err != ErrTxDone {
+	if err := tx.Write("k", nil); err != session.ErrTxDone {
 		t.Fatalf("Write after Commit = %v, want ErrTxDone", err)
 	}
 
@@ -573,7 +579,7 @@ func TestTxLifecycleErrors(t *testing.T) {
 	if err := tx2.Abort(); err != nil {
 		t.Fatalf("Abort: %v", err)
 	}
-	if err := tx2.Abort(); err != ErrTxDone {
+	if err := tx2.Abort(); err != session.ErrTxDone {
 		t.Fatalf("double Abort = %v, want ErrTxDone", err)
 	}
 	// After abort a new transaction can start.
@@ -586,7 +592,7 @@ func TestTxLifecycleErrors(t *testing.T) {
 	}
 
 	c.Close()
-	if _, err := c.Begin(); err != ErrClosed {
+	if _, err := c.Begin(); err != session.ErrClosed {
 		t.Fatalf("Begin after Close = %v, want ErrClosed", err)
 	}
 }
@@ -606,10 +612,10 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
-	if _, err := NewClient(ClientConfig{Network: nil, NumPartitions: 1}); err == nil {
-		t.Error("client without network should be rejected")
+	if _, err := NewClient(session.Config{Conn: nil, NumPartitions: 1}); err == nil {
+		t.Error("client without a connection should be rejected")
 	}
-	if _, err := NewClient(ClientConfig{Network: net, NumPartitions: 0}); err == nil {
+	if _, err := NewClient(session.Config{Conn: pool.Single(net, transport.ClientID(0, 1)), NumPartitions: 0}); err == nil {
 		t.Error("client without partitions should be rejected")
 	}
 }

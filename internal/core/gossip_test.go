@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 )
 
 // newTreeCluster builds a single-DC cluster using tree-based BiST.
@@ -39,8 +41,8 @@ func newTreeCluster(t *testing.T, parts int) (*transport.Memory, []*Server) {
 
 func TestTreeGossipStabilizes(t *testing.T) {
 	net, servers := newTreeCluster(t, 4)
-	c, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 1, NumPartitions: 4, Network: net,
+	c, err := NewClient(session.Config{
+		DC: 0, NumPartitions: 4, Conn: pool.Single(net, transport.ClientID(0, 1)),
 		CoordinatorPartition: 2, RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -61,8 +63,8 @@ func TestTreeGossipStabilizes(t *testing.T) {
 	})
 
 	// And a fresh client can read the value through its snapshot.
-	other, err := NewClient(ClientConfig{
-		DC: 0, ClientIndex: 2, NumPartitions: 4, Network: net,
+	other, err := NewClient(session.Config{
+		DC: 0, NumPartitions: 4, Conn: pool.Single(net, transport.ClientID(0, 2)),
 		CoordinatorPartition: 3, RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
 	"wren/internal/wire"
 )
@@ -13,6 +14,8 @@ import (
 // extension sketched in the paper's footnote 1 (§II-A): the client blocks
 // until the last snapshot it has seen — and its own writes — have been
 // installed in the new DC, then continues with full session guarantees.
+// conn is the session's connection in the new DC; once migrated, every
+// round trip goes through it, so the session is resident there.
 //
 // Concretely, the client's causal past consists of:
 //   - local items of the old DC up to lst_c and its own writes up to
@@ -25,34 +28,32 @@ import (
 // advance the new DC's view beyond what it actually installed. Once the
 // conditions hold, the session adopts the new DC's snapshot and clears its
 // write cache (everything in it is now covered by the new snapshot).
-func (c *Client) Migrate(newDC, coordinatorPartition int) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
+func (c *Client) Migrate(newDC, coordinatorPartition int, conn session.Conn) error {
+	var needRemote, needLocal hlc.Timestamp
+	if err := c.Idle(func(hwt hlc.Timestamp) {
+		needRemote = hlc.Max(c.causal.lst, hwt, c.causal.rst)
+		needLocal = c.causal.rst
+	}); err != nil {
+		return err
 	}
-	if c.tx != nil {
-		c.mu.Unlock()
-		return ErrTxOpen
-	}
-	needRemote := hlc.Max(c.lst, c.hwt, c.rst)
-	needLocal := c.rst
-	oldDC := c.cfg.DC
-	c.mu.Unlock()
-
-	if newDC == oldDC {
+	cfg := c.Config()
+	if newDC == cfg.DC {
 		return nil
 	}
-	if coordinatorPartition < 0 || coordinatorPartition >= c.cfg.NumPartitions {
+	if coordinatorPartition < 0 || coordinatorPartition >= cfg.NumPartitions {
 		return fmt.Errorf("core: coordinator partition %d out of range", coordinatorPartition)
+	}
+	if conn == nil {
+		return fmt.Errorf("core: migration needs a connection in DC %d", newDC)
 	}
 
 	coord := transport.ServerID(newDC, coordinatorPartition)
-	deadline := time.Now().Add(c.cfg.RequestTimeout)
+	deadline := time.Now().Add(cfg.RequestTimeout)
 	for {
 		// Probe the new DC's stable snapshot without polluting it.
-		reqID := c.reqSeq.Add(1)
-		resp, err := c.call(coord, reqID, &wire.StartTxReq{ReqID: reqID})
+		resp, err := c.RoundTrip(coord, func(reqID uint64) wire.Message {
+			return &wire.StartTxReq{ReqID: reqID}
+		})
 		if err != nil {
 			return fmt.Errorf("core: migration probe: %w", err)
 		}
@@ -61,39 +62,26 @@ func (c *Client) Migrate(newDC, coordinatorPartition int) error {
 			return fmt.Errorf("core: unexpected response %T to migration probe", resp)
 		}
 		// Release the probe's transaction context right away.
-		cleanupID := c.reqSeq.Add(1)
-		if _, err := c.call(coord, cleanupID, &wire.CommitReq{ReqID: cleanupID, TxID: st.TxID}); err != nil {
+		if _, err := c.RoundTrip(coord, func(reqID uint64) wire.Message {
+			return &wire.CommitReq{ReqID: reqID, TxID: st.TxID}
+		}); err != nil {
 			return fmt.Errorf("core: migration probe cleanup: %w", err)
 		}
 
 		if st.RST >= needRemote && st.LST >= needLocal && st.RST >= needLocal {
 			// The new DC has installed the session's entire causal past:
-			// adopt its snapshot and move the session. The node id moves
-			// too, so the network treats the client as resident in the
-			// new DC from here on.
-			c.mu.Lock()
-			c.cfg.DC = newDC
-			c.cfg.CoordinatorPartition = coordinatorPartition
-			c.id = transport.ClientID(newDC, c.cfg.ClientIndex)
-			c.cfg.Network.Register(c.id, c)
-			c.lst = st.LST
-			c.rst = st.RST
-			// Every cached write has ct ≤ hwt ≤ rst' and is therefore
-			// visible through the new snapshot.
-			c.cache = make(map[string]cacheEntry)
-			c.mu.Unlock()
-			return nil
+			// adopt its snapshot and move the session.
+			return c.Move(newDC, coordinatorPartition, conn, func() {
+				c.causal.lst = st.LST
+				c.causal.rst = st.RST
+				// Every cached write has ct ≤ hwt ≤ rst' and is therefore
+				// visible through the new snapshot.
+				clear(c.causal.cache)
+			})
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: new DC %d has not installed the session's snapshot", ErrTimeout, newDC)
+			return fmt.Errorf("%w: new DC %d has not installed the session's snapshot", session.ErrTimeout, newDC)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// DC returns the client's current data center.
-func (c *Client) DC() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.DC
 }

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/sharding"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 )
 
 type testCluster struct {
@@ -83,25 +85,36 @@ func (tc *testCluster) close() {
 	tc.net.Close()
 }
 
-func (tc *testCluster) client(dc int) *Client {
-	tc.t.Helper()
-	tc.nextCli++
-	c, err := NewClient(ClientConfig{
-		DC:                   dc,
-		ClientIndex:          tc.nextCli,
-		NumDCs:               tc.dcs,
-		NumPartitions:        tc.parts,
-		Network:              tc.net,
-		CoordinatorPartition: 0,
-		RequestTimeout:       5 * time.Second,
-	})
-	if err != nil {
-		tc.t.Fatalf("NewClient: %v", err)
-	}
-	return c
+// client is a Cure session together with its causal state, so tests can
+// inspect the dependency vector.
+type client struct {
+	*session.Session
+	causal *Causal
 }
 
-func commitKV(t *testing.T, c *Client, kvs map[string]string) hlc.Timestamp {
+func (c client) dependencyVector() (dv []hlc.Timestamp) {
+	c.Do(func() { dv = copyVec(c.causal.dv) })
+	return dv
+}
+
+func (tc *testCluster) client(dc int) client {
+	tc.t.Helper()
+	tc.nextCli++
+	causal := NewCausal(dc, tc.dcs)
+	s, err := session.New(session.Config{
+		DC:                   dc,
+		NumPartitions:        tc.parts,
+		Conn:                 pool.Single(tc.net, transport.ClientID(dc, tc.nextCli)),
+		CoordinatorPartition: 0,
+		RequestTimeout:       5 * time.Second,
+	}, causal)
+	if err != nil {
+		tc.t.Fatalf("session.New: %v", err)
+	}
+	return client{s, causal}
+}
+
+func commitKV(t *testing.T, c client, kvs map[string]string) hlc.Timestamp {
 	t.Helper()
 	tx, err := c.Begin()
 	if err != nil {
@@ -119,7 +132,7 @@ func commitKV(t *testing.T, c *Client, kvs map[string]string) hlc.Timestamp {
 	return ct
 }
 
-func readKeys(t *testing.T, c *Client, keys ...string) map[string][]byte {
+func readKeys(t *testing.T, c client, keys ...string) map[string][]byte {
 	t.Helper()
 	tx, err := c.Begin()
 	if err != nil {
@@ -227,7 +240,7 @@ func TestCureReadsBlockOnClockSkew(t *testing.T) {
 		if _, err := tx.Read(key); err != nil {
 			t.Fatal(err)
 		}
-		if tx.BlockedMicros > int64(skew.Microseconds())/2 {
+		if tx.Blocked() > skew/2 {
 			sawBlocking = true
 		}
 		if _, err := tx.Commit(); err != nil {
@@ -261,7 +274,7 @@ func TestHCureAvoidsClockSkewBlocking(t *testing.T) {
 	key := keyOnPartition(t, 1, 2)
 	commitKV(t, c, map[string]string{key: "v"})
 
-	var maxBlocked int64
+	var maxBlocked time.Duration
 	for i := 0; i < 10; i++ {
 		tx, err := c.Begin()
 		if err != nil {
@@ -270,17 +283,15 @@ func TestHCureAvoidsClockSkewBlocking(t *testing.T) {
 		if _, err := tx.Read(key); err != nil {
 			t.Fatal(err)
 		}
-		if tx.BlockedMicros > maxBlocked {
-			maxBlocked = tx.BlockedMicros
-		}
+		maxBlocked = max(maxBlocked, tx.Blocked())
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// H-Cure can still block on pending transactions, but never the full
 	// clock skew.
-	if maxBlocked > int64(skew.Microseconds()) {
-		t.Fatalf("H-Cure blocked %dµs, should be well below the %v skew", maxBlocked, skew)
+	if maxBlocked > skew {
+		t.Fatalf("H-Cure blocked %v, should be well below the %v skew", maxBlocked, skew)
 	}
 }
 
@@ -374,9 +385,9 @@ func TestCureLWWConvergence(t *testing.T) {
 func TestCureClientDependencyVectorGrows(t *testing.T) {
 	tc := newTestCluster(t, clusterOpts{dcs: 2, parts: 2, useHLC: true})
 	c := tc.client(0)
-	before := c.DependencyVector()
+	before := c.dependencyVector()
 	commitKV(t, c, map[string]string{"dep": "v"})
-	after := c.DependencyVector()
+	after := c.dependencyVector()
 	if !(after[0] > before[0]) {
 		t.Fatalf("local DV entry should grow after commit: %v -> %v", before, after)
 	}
@@ -389,13 +400,13 @@ func TestCureTxLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Begin(); err != ErrTxOpen {
+	if _, err := c.Begin(); err != session.ErrTxOpen {
 		t.Fatalf("second Begin = %v, want ErrTxOpen", err)
 	}
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Commit(); err != ErrTxDone {
+	if _, err := tx.Commit(); err != session.ErrTxDone {
 		t.Fatalf("double Commit = %v, want ErrTxDone", err)
 	}
 	tx2, err := c.Begin()
@@ -406,7 +417,7 @@ func TestCureTxLifecycleErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Begin(); err != ErrClosed {
+	if _, err := c.Begin(); err != session.ErrClosed {
 		t.Fatalf("Begin after Close = %v, want ErrClosed", err)
 	}
 }
@@ -425,8 +436,8 @@ func TestCureConfigValidation(t *testing.T) {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
-	if _, err := NewClient(ClientConfig{Network: net, NumDCs: 0, NumPartitions: 1}); err == nil {
-		t.Error("client with zero DCs should be rejected")
+	if _, err := session.New(session.Config{NumPartitions: 1}, NewCausal(0, 1)); err == nil {
+		t.Error("client without a connection should be rejected")
 	}
 }
 

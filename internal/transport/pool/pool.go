@@ -80,14 +80,26 @@ func New(eps []Endpoint) (*Pool, error) {
 	if len(eps) == 0 {
 		return nil, fmt.Errorf("pool: no endpoints")
 	}
+	return newPool(eps, 0), nil
+}
+
+func newPool(eps []Endpoint, stripes int) *Pool {
 	p := &Pool{
 		eps:     eps,
-		pending: stripemap.New[chan wire.Message](0),
+		pending: stripemap.New[chan wire.Message](stripes),
 	}
 	for _, ep := range eps {
 		ep.Net.Register(ep.ID, p)
 	}
-	return p, nil
+	return p
+}
+
+// Single returns the Conn of a one-endpoint pool registered as id on net:
+// the "unpooled" wiring, one NodeID (and over TCP one socket per server)
+// per session.
+func Single(net transport.Network, id transport.NodeID) *Conn {
+	// One session rarely has more than one call in flight: one stripe.
+	return newPool([]Endpoint{{ID: id, Net: net}}, 1).Bind()
 }
 
 // Conn is a session's handle on the pool: an endpoint affinity plus the

@@ -9,7 +9,9 @@ import (
 
 	"wren/internal/core"
 	"wren/internal/hlc"
+	"wren/internal/session"
 	"wren/internal/transport"
+	"wren/internal/transport/pool"
 	"wren/internal/wire"
 )
 
@@ -184,9 +186,9 @@ func TestWrenOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cliNet.Close()
-	client, err := core.NewClient(core.ClientConfig{
-		DC: 0, ClientIndex: 1, NumPartitions: parts,
-		Network:              cliNet,
+	client, err := core.NewClient(session.Config{
+		DC: 0, NumPartitions: parts,
+		Conn:                 pool.Single(cliNet, transport.ClientID(0, 1)),
 		CoordinatorPartition: 0,
 		RequestTimeout:       5 * time.Second,
 	})
