@@ -362,6 +362,9 @@ func printErr(out io.Writer, err error) {
 	case errors.Is(err, session.ErrAborted):
 		fmt.Fprintln(out, "error (aborted):", err)
 		fmt.Fprintln(out, "  the transaction did not commit; safe to retry")
+	case errors.Is(err, session.ErrTxExpired):
+		fmt.Fprintln(out, "error (expired):", err)
+		fmt.Fprintln(out, "  the coordinator dropped this transaction (idle too long, or it restarted); abort and begin again")
 	case errors.Is(err, session.ErrTimeout):
 		fmt.Fprintln(out, "error (timeout):", err)
 		fmt.Fprintln(out, "  server unresponsive; consider raising -request-timeout or -retries")

@@ -425,15 +425,22 @@ func (p *wrenProtocol) AfterInstall() {}
 func (p *wrenProtocol) GossipTick() { p.server().gossipTick() }
 
 // OldestActiveSnapshot expires abandoned transaction contexts and returns
-// the oldest local snapshot time a surviving transaction still needs — or
-// the current stable time when idle (paper §IV-B). The GC floor is loaded
-// under the runtime's SnapMu barrier: every in-flight snapshot assignment
-// drains first, so any context the Range below cannot see yet was assigned
-// lt ≥ this floor and needs no protection from it.
+// the GC floor (paper §IV-B): the oldest remote snapshot time rt of any
+// surviving transaction, or of the snapshot a transaction started now
+// would get, (lst, min(rst, lst−1)). The floor is rt, not lt: a remote
+// version is visible only up to rt < lt, so a floor at lt would keep a
+// remote version with rt < UT ≤ lt as the chain's base and prune the one
+// the snapshot reads. A local version is visible when UT ≤ lt ∧ RDT ≤ rt,
+// and a base with UT ≤ rt has RDT < UT, so rt protects it too — the same
+// conservative min-entry shape as Cure's floor.
+//
+// The floor is loaded under the runtime's SnapMu barrier: every in-flight
+// snapshot assignment drains first, so any context the Range below cannot
+// see yet was assigned rt ≥ this floor and needs no protection from it.
 func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 	s := p.server()
 	s.rt.SnapMu.Lock()
-	oldest := s.lst.Load()
+	oldest := hlc.Min(s.rst.Load(), s.lst.Load().Prev())
 	s.rt.SnapMu.Unlock()
 	var expired []uint64
 	s.txCtx.Range(func(id uint64, ctx txContext) bool {
@@ -441,8 +448,8 @@ func (p *wrenProtocol) OldestActiveSnapshot(now time.Time) hlc.Timestamp {
 			expired = append(expired, id)
 			return true
 		}
-		if ctx.lt < oldest {
-			oldest = ctx.lt
+		if ctx.rt < oldest {
+			oldest = ctx.rt
 		}
 		return true
 	})
@@ -525,8 +532,10 @@ func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
 func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 	ctx, ok := s.txCtx.Load(m.TxID)
 	if !ok {
-		// Unknown (expired) transaction: reply empty so the client can fail fast.
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID})
+		// Unknown transaction (its context expired, or this coordinator
+		// restarted): say so, so the client fails the read instead of
+		// taking every key for absent.
+		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
 		return
 	}
 	lt, rt := ctx.lt, ctx.rt

@@ -1,6 +1,7 @@
 package cure
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -28,6 +29,7 @@ type clusterOpts struct {
 	gossipEvery time.Duration
 	applyEvery  time.Duration
 	gcEvery     time.Duration
+	ttl         time.Duration // TxContextTTL; zero selects the default
 	skew        func(dc, partition int) time.Duration
 }
 
@@ -63,6 +65,7 @@ func newTestCluster(t *testing.T, opts clusterOpts) *testCluster {
 				ApplyInterval:  opts.applyEvery,
 				GossipInterval: opts.gossipEvery,
 				GCInterval:     opts.gcEvery,
+				TxContextTTL:   opts.ttl,
 			})
 			if err != nil {
 				t.Fatalf("NewServer: %v", err)
@@ -420,6 +423,48 @@ func TestCureTxLifecycleErrors(t *testing.T) {
 	if _, err := c.Begin(); err != session.ErrClosed {
 		t.Fatalf("Begin after Close = %v, want ErrClosed", err)
 	}
+}
+
+// TestCureReadAfterContextExpiredFails checks that a read in a transaction
+// whose coordinator context has expired fails with ErrTxExpired instead of
+// reporting committed keys as absent, and keeps failing on a repeat read.
+func TestCureReadAfterContextExpiredFails(t *testing.T) {
+	tc := newTestCluster(t, clusterOpts{dcs: 1, parts: 2, useHLC: true,
+		ttl: 20 * time.Millisecond, gcEvery: 5 * time.Millisecond})
+	c := tc.client(0)
+	commitKV(t, c, map[string]string{"k": "v"})
+	// Reads in a fresh transaction; a slow read may itself outlive the
+	// short TTL, so a failure only means "try again".
+	readsV := func() bool {
+		tx, err := c.Begin()
+		if err != nil {
+			return false
+		}
+		got, err := tx.Read("k")
+		_ = tx.Abort()
+		return err == nil && string(got["k"]) == "v"
+	}
+	eventually(t, 3*time.Second, "committed value visible", readsV)
+
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := tc.servers[0][tx.Coordinator()]
+	expiredBefore := coord.Metrics().CtxExpired.Load()
+	eventually(t, 3*time.Second, "transaction context expired", func() bool {
+		return coord.Metrics().CtxExpired.Load() > expiredBefore
+	})
+	for i := 0; i < 2; i++ {
+		got, err := tx.Read("k")
+		if !errors.Is(err, session.ErrTxExpired) {
+			t.Fatalf("read %d after expiry = %v, %v; want ErrTxExpired", i+1, got, err)
+		}
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, 3*time.Second, "a fresh transaction reads the value", readsV)
 }
 
 func TestCureConfigValidation(t *testing.T) {

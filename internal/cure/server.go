@@ -535,7 +535,9 @@ func (s *Server) handleStartTx(from transport.NodeID, m *wire.StartTxReq) {
 func (s *Server) handleTxRead(from transport.NodeID, m *wire.TxReadReq) {
 	ctx, ok := s.txCtx.Load(m.TxID)
 	if !ok {
-		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID})
+		// Unknown transaction (expired, or this coordinator restarted):
+		// the client must fail the read, not take every key for absent.
+		s.rt.Send(from, &wire.TxReadResp{ReqID: m.ReqID, Expired: true})
 		return
 	}
 	sv := ctx.sv

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"wren/internal/fanin"
+	"wren/internal/freelist"
 	"wren/internal/hlc"
 	"wren/internal/sharding"
 	"wren/internal/stats"
@@ -406,6 +407,13 @@ type Runtime struct {
 	// it around the engine write, which is exactly the window that must
 	// stay ordered.
 	applyMu sync.Mutex
+	// applyPuts is ApplyTick's engine batch, reused across ticks (guarded
+	// by applyMu) and cleared after each so it pins no pruned version.
+	applyPuts []store.KV
+	// replPuts recycles handleReplicate's engine batches, one per source
+	// link delivering concurrently. A free list, not a sync.Pool, like
+	// every other server-side scratch (see package freelist).
+	replPuts *freelist.List[[]store.KV]
 
 	mu             sync.Mutex
 	prepared       map[uint64]*txlog.PreparedTx
@@ -512,6 +520,7 @@ func New(cfg Config, proto Protocol, ctr Counters) (*Runtime, error) {
 		recovered:      make(map[uint64]*recoveredPrepare),
 		peerOldest:     make([]hlc.Timestamp, cfg.NumPartitions),
 		pendingSlice:   stripemap.New[*fanin.TxRead](0),
+		replPuts:       freelist.New(cfg.NumDCs, func() *[]store.KV { return new([]store.KV) }),
 		admission:      make(map[transport.NodeID]*atomic.Int64),
 		pendingPrepare: make(map[uint64]*prepareCall),
 		decisions:      make(map[uint64]hlc.Timestamp),
@@ -1081,20 +1090,7 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		return
 	}
 
-	type cohortWrites struct {
-		partition int
-		writes    []wire.KV
-	}
-	byPartition := make(map[int][]wire.KV)
-	for _, kv := range m.Writes {
-		p := sharding.PartitionOf(kv.Key, r.cfg.NumPartitions)
-		byPartition[p] = append(byPartition[p], kv)
-	}
-	cohorts := make([]cohortWrites, 0, len(byPartition))
-	for p, ws := range byPartition {
-		cohorts = append(cohorts, cohortWrites{partition: p, writes: ws})
-	}
-
+	cohorts := groupByPartition(m.Writes, r.cfg.NumPartitions)
 	call := &prepareCall{
 		ch:   make(chan prepareVote, len(cohorts)),
 		seen: make(map[uint64]struct{}, len(cohorts)),
@@ -1220,6 +1216,51 @@ func (r *Runtime) Commit(from transport.NodeID, m *wire.CommitReq, makePrepare f
 		r.ctr.TxCommitted.Inc()
 		r.Send(from, &wire.CommitResp{ReqID: m.ReqID, CT: ct})
 	})
+}
+
+// cohortWrites is one cohort's share of a write set.
+type cohortWrites struct {
+	partition int
+	writes    []wire.KV
+}
+
+// groupByPartition splits a write set by owning partition, in partition
+// order. One counting pass sizes the groups, so every cohort's writes share
+// one exact-size backing array, each capped at its own length: PreparedTx,
+// CommittedTx and replication keep these slices, and an append through one
+// must reallocate rather than overwrite a neighbour's writes.
+func groupByPartition(writes []wire.KV, numPartitions int) []cohortWrites {
+	var countBuf [64]int
+	counts := countBuf[:0]
+	if numPartitions <= len(countBuf) {
+		counts = countBuf[:numPartitions]
+	} else {
+		counts = make([]int, numPartitions)
+	}
+	touched := 0
+	for i := range writes {
+		p := sharding.PartitionOf(writes[i].Key, numPartitions)
+		if counts[p] == 0 {
+			touched++
+		}
+		counts[p]++
+	}
+	cohorts := make([]cohortWrites, 0, touched)
+	backing := make([]wire.KV, len(writes))
+	off := 0
+	for p, n := range counts {
+		if n == 0 {
+			continue
+		}
+		cohorts = append(cohorts, cohortWrites{partition: p, writes: backing[off : off : off+n]})
+		off += n
+		counts[p] = len(cohorts) - 1 // from here on: the partition's cohort index
+	}
+	for i := range writes {
+		c := &cohorts[counts[sharding.PartitionOf(writes[i].Key, numPartitions)]]
+		c.writes = append(c.writes, writes[i])
+	}
+	return cohorts
 }
 
 // Prepare runs the cohort side of the 2PC (Algorithm 3 lines 13–19):
@@ -1462,12 +1503,16 @@ func (r *Runtime) handleReplicate(m *wire.Replicate) {
 		// dedupe per transaction against the engine.
 		skip = r.TxApplied
 	}
-	var puts []store.KV
+	buf := r.replPuts.Get()
+	puts := (*buf)[:0]
 	for i := range m.Txs {
 		puts = r.proto.AppendRemotePuts(puts, m.SrcDC, &m.Txs[i], skip)
 	}
 	r.st.PutBatch(puts)
 	r.ctr.ReplTxApplied.Add(uint64(len(puts)))
+	clear(puts)
+	*buf = puts[:0]
+	r.replPuts.Put(buf)
 	r.replWM.Advance(int(m.SrcDC), last)
 	r.VV.Advance(int(m.SrcDC), last)
 	r.proto.AfterInstall()
@@ -1554,11 +1599,13 @@ func (r *Runtime) ApplyTick(heartbeat bool) {
 	// advancing its version vector to a batch's last timestamp never
 	// exposes part of a group.
 	sortCommitted(apply)
-	var puts []store.KV
+	puts := r.applyPuts[:0]
 	for _, t := range apply {
 		puts = r.proto.AppendLocalPuts(puts, t, nil)
 	}
 	r.st.PutBatch(puts)
+	clear(puts)
+	r.applyPuts = puts[:0]
 	batches := r.replicateBatches(apply, false)
 
 	r.VV.Advance(r.cfg.DC, ub)

@@ -39,6 +39,11 @@ var (
 	ErrTimeout = errors.New("session: request timed out")
 	// ErrClosed is returned after the client session is closed.
 	ErrClosed = errors.New("session: client closed")
+	// ErrTxExpired is returned by Read when the coordinator no longer holds
+	// the transaction's context: it expired (the server's TxContextTTL) or
+	// the coordinator restarted. The snapshot is gone, so nothing was read;
+	// abort and run the transaction again.
+	ErrTxExpired = errors.New("session: transaction context expired on the coordinator")
 	// ErrReadOnly is returned by Commit when the server refused the write
 	// because its durability is degraded (a failed storage engine or
 	// transaction log shed it into read-only admission). The transaction
@@ -149,7 +154,20 @@ type Session struct {
 	causal Causal
 	hwt    hlc.Timestamp // hwt_c: commit time of the last update transaction
 	tx     *Tx
+	// spare holds the transaction maps while no transaction has them. A
+	// session runs one transaction at a time, so one set serves every
+	// transaction; it is lent out by BeginAt and handed back, emptied, by
+	// Tx.release.
+	spare  txMaps
 	closed bool
+}
+
+// txMaps is the per-transaction client state of Algorithm 1: the write
+// set, the read set, and the keys the snapshot is known not to hold.
+type txMaps struct {
+	ws     map[string][]byte
+	rs     map[string][]byte
+	rsMiss map[string]struct{} // keys known absent in this snapshot
 }
 
 // New creates a session whose causal past is represented by causal.
@@ -362,14 +380,23 @@ func (s *Session) BeginAt(coordinator int) (*Tx, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.causal.FoldStart(st)
+	maps := s.spare
+	s.spare = txMaps{}
+	if maps.ws == nil {
+		// First transaction of the session, or a failover replay while the
+		// refused transaction still holds the session's set.
+		maps = txMaps{
+			ws:     make(map[string][]byte),
+			rs:     make(map[string][]byte),
+			rsMiss: make(map[string]struct{}),
+		}
+	}
 	tx := &Tx{
 		s:         s,
 		coord:     transport.ServerID(dc, partition),
 		partition: partition,
 		start:     st,
-		ws:        make(map[string][]byte),
-		rs:        make(map[string][]byte),
-		rsMiss:    make(map[string]struct{}),
+		txMaps:    maps,
 	}
 	s.tx = tx
 	return tx, nil
@@ -383,17 +410,35 @@ func (s *Session) clearTx(t *Tx) {
 	}
 }
 
-// Tx is an interactive read-write transaction.
+// release hands the transaction's maps back to the session, emptied with
+// their capacity kept, once its outcome is settled. The Tx drops its
+// references, so a stale handle can never see a later transaction's state.
+func (t *Tx) release() {
+	if t.ws == nil {
+		return
+	}
+	s := t.s
+	s.mu.Lock()
+	if s.spare.ws == nil {
+		clear(t.ws)
+		clear(t.rs)
+		clear(t.rsMiss)
+		s.spare = t.txMaps
+	}
+	s.mu.Unlock()
+	t.txMaps = txMaps{}
+}
+
+// Tx is an interactive read-write transaction. Its maps belong to the
+// session and go back to it when the transaction commits or aborts.
 type Tx struct {
 	s         *Session
 	coord     transport.NodeID
 	partition int // coordinator partition index
 	start     *wire.StartTxResp
-	ws        map[string][]byte
-	rs        map[string][]byte
-	rsMiss    map[string]struct{} // keys known absent in this snapshot
-	done      bool
-	blocked   int64 // max server-reported read blocking, in microseconds
+	txMaps
+	done    bool
+	blocked int64 // max server-reported read blocking, in microseconds
 }
 
 // ID returns the transaction identifier assigned by the coordinator.
@@ -411,7 +456,8 @@ func (t *Tx) Start() *wire.StartTxResp { return t.start }
 func (t *Tx) Done() bool { return t.done }
 
 // Writes returns the buffered write set, a nil value marking a delete.
-// Callers must not modify it.
+// Callers must not modify it. It is nil once the transaction has finished:
+// the map went back to the session for its next transaction.
 func (t *Tx) Writes() map[string][]byte { return t.ws }
 
 // Blocked returns the longest time any read of this transaction spent
@@ -456,6 +502,13 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 			t.rs[k] = v
 			continue
 		}
+		if missing == nil {
+			// The request carries this buffer, and in-process transports
+			// share a request by pointer — a duplicated frame can still be
+			// read after the response arrived — so it is allocated per
+			// request, at its largest size, rather than recycled.
+			missing = make([]string, 0, len(keys))
+		}
 		missing = append(missing, k)
 	}
 	t.s.mu.Unlock()
@@ -472,6 +525,12 @@ func (t *Tx) Read(keys ...string) (map[string][]byte, error) {
 	rr, ok := resp.(*wire.TxReadResp)
 	if !ok {
 		return nil, fmt.Errorf("session: unexpected response %T to TxReadReq", resp)
+	}
+	if rr.Expired {
+		// The snapshot is gone: reading the keys as absent (and caching
+		// that) would report committed data as never written.
+		wire.PutTxReadResp(rr)
+		return nil, fmt.Errorf("%w (transaction %d)", ErrTxExpired, t.start.TxID)
 	}
 	if rr.BlockedMicros > t.blocked {
 		t.blocked = rr.BlockedMicros
@@ -541,6 +600,9 @@ func (t *Tx) Delete(key string) error {
 // session's causal state makes the retried commit land strictly after
 // everything the session has observed.
 func (t *Tx) Commit() (hlc.Timestamp, error) {
+	// The maps go back to the session only after any failover replay of
+	// t.ws has finished.
+	defer t.release()
 	ct, err := t.commit()
 	if err == nil || !t.s.cfg.Failover {
 		return ct, err
@@ -576,6 +638,7 @@ func (t *Tx) Commit() (hlc.Timestamp, error) {
 	if berr != nil {
 		return 0, err
 	}
+	defer retry.release()
 	// The write set is already last-write-wins. A second refusal (or any
 	// other failure) surfaces directly: the failover retries once.
 	retry.ws = t.ws
@@ -699,6 +762,7 @@ func (t *Tx) Abort() error {
 		return ErrTxDone
 	}
 	t.done = true
+	defer t.release()
 	defer t.s.clearTx(t)
 	// An empty commit releases the server-side context without a 2PC.
 	_, err := t.s.RoundTrip(t.coord, func(reqID uint64) wire.Message {

@@ -292,49 +292,218 @@ func TestReadOnlyLostAckNotProbed(t *testing.T) {
 	}
 }
 
-// TestFailoverReplaysWriteSet checks the read-only failover: the refused
-// write set is replayed once, as is, on the first partition that reports
-// healthy.
+// TestFailoverReplaysWriteSet checks the commit failover: the refused
+// write set is replayed once, as is, on another partition — the first one
+// that reports healthy after a read-only refusal, the next one after an
+// abort. The session recycles its transaction maps, so the replay must
+// still carry the complete write set, and the next transaction must start
+// from an empty one.
 func TestFailoverReplaysWriteSet(t *testing.T) {
-	f := &fakeConn{
-		commit: func(n int, req *wire.CommitReq) (wire.Message, error) {
-			if n == 1 {
-				return &wire.CommitResp{ReqID: req.ReqID, Code: wire.CommitErrReadOnly, Err: "degraded"}, nil
+	cases := []struct {
+		name    string
+		refusal uint8
+		want    transport.NodeID
+	}{
+		{name: "read-only", refusal: wire.CommitErrReadOnly, want: transport.ServerID(0, 2)},
+		{name: "aborted", refusal: wire.CommitErrAborted, want: transport.ServerID(0, 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &fakeConn{
+				commit: func(n int, req *wire.CommitReq) (wire.Message, error) {
+					if n == 1 {
+						return &wire.CommitResp{ReqID: req.ReqID, Code: tc.refusal, Err: "refused"}, nil
+					}
+					return &wire.CommitResp{ReqID: req.ReqID, CT: hlc.Timestamp(100 * n)}, nil
+				},
+				health: func(to transport.NodeID) *wire.HealthResp {
+					return &wire.HealthResp{ReadOnly: to.Node == 1}
+				},
 			}
-			return &wire.CommitResp{ReqID: req.ReqID, CT: 100}, nil
-		},
-		health: func(to transport.NodeID) *wire.HealthResp {
-			return &wire.HealthResp{ReadOnly: to.Node == 1}
-		},
+			s := newSession(t, core.NewCausal(), f, 0, true)
+			tx, err := s.Begin() // coordinator partition 0
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"a", "b"} {
+				if err := tx.Write(k, []byte("1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Write("a", []byte("2")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Delete("b"); err != nil {
+				t.Fatal(err)
+			}
+			if ct, err := tx.Commit(); err != nil || ct != 200 {
+				t.Fatalf("Commit = %v, %v; want the failover commit at 200", ct, err)
+			}
+			m, to := f.last(wire.KindCommitReq)
+			if to != tc.want {
+				t.Fatalf("failover commit went to %v, want %v", to, tc.want)
+			}
+			if got := writeSet(m); len(got) != 2 || got["a"] != "2/false" || got["b"] != "/true" {
+				t.Fatalf("replayed write set %v, want a=2 and b deleted", got)
+			}
+			if ws := tx.Writes(); ws != nil {
+				t.Fatalf("finished transaction still exposes its write set %v", ws)
+			}
+
+			next, err := s.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := next.Write("c", []byte("3")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := next.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			m, _ = f.last(wire.KindCommitReq)
+			if got := writeSet(m); len(got) != 1 || got["c"] != "3/false" {
+				t.Fatalf("next transaction committed %v, want only c=3", got)
+			}
+		})
 	}
-	s := newSession(t, core.NewCausal(), f, 0, true)
-	tx, err := s.Begin() // coordinator partition 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"a", "b"} {
-		if err := tx.Write(k, []byte("1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Write("a", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Delete("b"); err != nil {
-		t.Fatal(err)
-	}
-	if ct, err := tx.Commit(); err != nil || ct != 100 {
-		t.Fatalf("Commit = %v, %v; want the failover commit at 100", ct, err)
-	}
-	m, to := f.last(wire.KindCommitReq)
-	if to != transport.ServerID(0, 2) {
-		t.Fatalf("failover commit went to %v, want the healthy dc0/p2", to)
-	}
+}
+
+// writeSet renders a CommitReq's writes as key → "value/tombstone".
+func writeSet(m wire.Message) map[string]string {
 	got := map[string]string{}
 	for _, w := range m.(*wire.CommitReq).Writes {
 		got[w.Key] = fmt.Sprintf("%s/%v", w.Value, w.Tombstone)
 	}
-	if len(got) != 2 || got["a"] != "2/false" || got["b"] != "/true" {
-		t.Fatalf("replayed write set %v, want a=2 and b deleted", got)
+	return got
+}
+
+// TestFinishedTxDropsState checks that a committed or aborted transaction
+// hands its state back to the session: its Writes are nil, and a stale
+// handle gets ErrTxDone and never sees the next transaction's state.
+func TestFinishedTxDropsState(t *testing.T) {
+	f := &fakeConn{}
+	s := newSession(t, core.NewCausal(), f, 0, false)
+	for _, finish := range []struct {
+		name string
+		do   func(*session.Tx) error
+	}{
+		{"commit", func(tx *session.Tx) error { _, err := tx.Commit(); return err }},
+		{"abort", func(tx *session.Tx) error { return tx.Abort() }},
+	} {
+		stale, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stale.Write("old", []byte("1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish.do(stale); err != nil {
+			t.Fatalf("%s: %v", finish.name, err)
+		}
+		if ws := stale.Writes(); ws != nil {
+			t.Fatalf("%s: finished transaction exposes write set %v", finish.name, ws)
+		}
+
+		next, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws := next.Writes(); len(ws) != 0 {
+			t.Fatalf("%s: next transaction starts with write set %v", finish.name, ws)
+		}
+		if err := next.Write("new", []byte("2")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stale.Read("new"); !errors.Is(err, session.ErrTxDone) {
+			t.Fatalf("%s: stale Read = %v, want ErrTxDone", finish.name, err)
+		}
+		if err := stale.Write("new", []byte("x")); !errors.Is(err, session.ErrTxDone) {
+			t.Fatalf("%s: stale Write = %v, want ErrTxDone", finish.name, err)
+		}
+		if err := stale.Delete("new"); !errors.Is(err, session.ErrTxDone) {
+			t.Fatalf("%s: stale Delete = %v, want ErrTxDone", finish.name, err)
+		}
+		if _, err := stale.Commit(); !errors.Is(err, session.ErrTxDone) {
+			t.Fatalf("%s: stale Commit = %v, want ErrTxDone", finish.name, err)
+		}
+		if ws := stale.Writes(); ws != nil {
+			t.Fatalf("%s: stale handle sees write set %v", finish.name, ws)
+		}
+		if ws := next.Writes(); len(ws) != 1 || string(ws["new"]) != "2" {
+			t.Fatalf("%s: stale handle disturbed the next transaction: %v", finish.name, ws)
+		}
+		if err := next.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// cannedConn answers every round trip with a prebuilt response, so the
+// allocations a transaction makes are the session's own.
+type cannedConn struct {
+	start  wire.StartTxResp
+	items  []wire.Item
+	commit wire.CommitResp
+}
+
+func (c *cannedConn) Call(_ transport.NodeID, _ time.Duration, build func(uint64) wire.Message) (wire.Message, error) {
+	switch m := build(1).(type) {
+	case *wire.StartTxReq:
+		c.start.TxID++
+		return &c.start, nil
+	case *wire.TxReadReq:
+		// The session releases the response to the wire pool, so it is
+		// drawn from there like a server's.
+		rr := wire.GetTxReadResp()
+		rr.Items = append(rr.Items[:0], c.items...)
+		return rr, nil
+	case *wire.CommitReq:
+		c.commit.CT++
+		c.start.LST = c.commit.CT // the next snapshot covers the commit
+		return &c.commit, nil
+	default:
+		return nil, fmt.Errorf("cannedConn: unscripted %v", m.Kind())
+	}
+}
+
+// TestTxLifecycleAllocs pins the steady-state allocations of one
+// Begin → Read(19 keys) → Write(1) → Commit transaction. The session's
+// write set, read set and absent-key set are recycled across
+// transactions; what is left is the Tx itself, the request messages and
+// their buffers, the round-trip closures and Read's result map. Before the
+// recycling a transaction cost 29 allocations.
+func TestTxLifecycleAllocs(t *testing.T) {
+	const maxAllocs = 14
+	keys := make([]string, 19)
+	conn := &cannedConn{}
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%08d", i)
+		conn.items = append(conn.items, wire.Item{Key: keys[i], Value: []byte("12345678")})
+	}
+	s, err := session.New(session.Config{NumPartitions: 3, Conn: conn}, core.NewCausal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := []byte("v")
+	run := func() {
+		tx, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Read(keys...); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write("w", value); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs > maxAllocs {
+		t.Fatalf("one transaction allocates %.0f times, want at most %d", allocs, maxAllocs)
 	}
 }

@@ -413,9 +413,7 @@ func (s *Store) GCStats(oldest hlc.Timestamp) GCResult {
 				continue // nothing older than the base to prune
 			}
 			res.PerShard[si] += keepFrom
-			newChain := make([]*Version, len(chain)-keepFrom)
-			copy(newChain, chain[keepFrom:])
-			sh.chains[key] = newChain
+			sh.chains[key] = compactChain(chain, keepFrom)
 		}
 		res.Removed += res.PerShard[si]
 		sh.mu.Unlock()
@@ -501,10 +499,19 @@ func (s *Store) PruneChain(key string, base *Version, dropWhole bool) int {
 		delete(sh.chains, key)
 		return cut
 	}
-	newChain := make([]*Version, len(chain)-cut)
-	copy(newChain, chain[cut:])
-	sh.chains[key] = newChain
+	sh.chains[key] = compactChain(chain, cut)
 	return cut
+}
+
+// compactChain drops the first cut versions of chain in place: the
+// survivors move down, the vacated tail is cleared so it pins no pruned
+// version, and the capacity stays for the next insert to reuse. In-place
+// is safe because a chain slice never leaves its shard lock — readers get
+// *Version pointers, and ChainInto and ShardSnapshot copy.
+func compactChain(chain []*Version, cut int) []*Version {
+	n := copy(chain, chain[cut:])
+	clear(chain[n:])
+	return chain[:n]
 }
 
 // ChainCut returns how many leading versions of chain (sorted ascending

@@ -304,3 +304,57 @@ func TestPruneChainBoundedByBase(t *testing.T) {
 		t.Fatalf("PruneChain(absent) = %d, want 0", got)
 	}
 }
+
+// TestPruneKeepsChainAllocationFree pins version-chain pruning at zero
+// allocations: GCStats and PruneChain compact a chain in place, so a hot
+// key's chain keeps its capacity and the next insert reuses it instead of
+// growing an exact-size copy again.
+func TestPruneKeepsChainAllocationFree(t *testing.T) {
+	const key = "hot"
+	s := NewSharded(1)
+	vs := make([]*Version, 2000)
+	for i := range vs {
+		vs[i] = ver(int64(i+1), 0, uint64(i+1), "v")
+	}
+	next := 0
+	put := func() *Version {
+		v := vs[next]
+		next++
+		s.Put(key, v)
+		return v
+	}
+	first := func() **Version { return &s.shards[0].chains[key][:1][0] }
+
+	// Warm the chain up to its steady-state capacity.
+	for i := 0; i < 4; i++ {
+		put()
+	}
+	s.GCStats(put().UT)
+	before := first()
+	for i := 0; i < 100; i++ {
+		if removed := s.GCStats(put().UT).Removed; removed != 1 {
+			t.Fatalf("GCStats removed %d versions, want 1", removed)
+		}
+	}
+	if first() != before {
+		t.Fatal("insert after GCStats reallocated the chain")
+	}
+
+	allocs := testing.AllocsPerRun(500, func() {
+		if s.PruneChain(key, put(), false) != 1 {
+			t.Fatal("PruneChain did not remove exactly the version below base")
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("insert+PruneChain on a warmed hot key allocates %.1f/op, want 0", allocs)
+	}
+	chain := s.shards[0].chains[key]
+	if len(chain) != 1 || chain[0] != vs[next-1] {
+		t.Fatalf("chain holds %d versions, want only the newest", len(chain))
+	}
+	for _, v := range chain[len(chain):cap(chain)] {
+		if v != nil {
+			t.Fatal("pruned version still referenced from the chain's spare capacity")
+		}
+	}
+}

@@ -27,10 +27,10 @@ package pool
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"wren/internal/freelist"
 	"wren/internal/stripemap"
 	"wren/internal/transport"
 	"wren/internal/wire"
@@ -48,7 +48,7 @@ type Endpoint struct {
 // number of sessions.
 type Pool struct {
 	eps     []Endpoint
-	pending *stripemap.Map[chan wire.Message]
+	pending *stripemap.Map[*waiter]
 	reqSeq  atomic.Uint64
 	bindSeq atomic.Uint64
 	closed  atomic.Bool
@@ -70,9 +70,29 @@ type Stats struct {
 	Orphans uint64
 }
 
-// waiterPool recycles the 1-buffered response channels. A channel is only
-// returned when it provably has no pending writer (see Call).
-var waiterPool = sync.Pool{New: func() any { return make(chan wire.Message, 1) }}
+// waiter is one call's wait state: the 1-buffered response channel the
+// demux delivers into and the call's timeout timer. Both are reused across
+// calls, so a round trip allocates neither.
+type waiter struct {
+	ch    chan wire.Message
+	timer *time.Timer
+}
+
+// waiterIdle bounds the idle waiters kept for reuse: more than the calls a
+// process's sessions keep in flight at once in practice.
+const waiterIdle = 1024
+
+// waiterPool recycles waiters. A waiter is only returned when its channel
+// provably has no pending writer (see Call). It is a free list rather than
+// a sync.Pool, which empties on every other garbage collection and, under
+// the race detector, drops a random quarter of what is put back.
+var waiterPool = freelist.New(waiterIdle, func() *waiter {
+	// Created stopped; every Call arms it with Reset. Since Go 1.23 a
+	// Stop or Reset leaves no stale expiry behind in the channel.
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan wire.Message, 1), timer: t}
+})
 
 // New builds a pool over the given endpoints and registers its response
 // handler on each. Endpoints must not be registered elsewhere.
@@ -86,7 +106,7 @@ func New(eps []Endpoint) (*Pool, error) {
 func newPool(eps []Endpoint, stripes int) *Pool {
 	p := &Pool{
 		eps:     eps,
-		pending: stripemap.New[chan wire.Message](stripes),
+		pending: stripemap.New[*waiter](stripes),
 	}
 	for _, ep := range eps {
 		ep.Net.Register(ep.ID, p)
@@ -129,38 +149,39 @@ func (c *Conn) Call(to transport.NodeID, timeout time.Duration, build func(reqID
 		return nil, transport.ErrClosed
 	}
 	reqID := p.reqSeq.Add(1)
-	ch := waiterPool.Get().(chan wire.Message)
-	p.pending.Store(reqID, ch)
+	w := waiterPool.Get()
+	p.pending.Store(reqID, w)
 	if err := c.ep.Net.Send(c.ep.ID, to, build(reqID)); err != nil {
 		// Nothing was sent, so nothing can ever be delivered: the entry
-		// and the channel are both safely reclaimed here.
+		// and the waiter are both safely reclaimed here.
 		p.pending.Delete(reqID)
-		waiterPool.Put(ch)
+		waiterPool.Put(w)
 		return nil, err
 	}
 	p.calls.Add(1)
-	timer := time.NewTimer(timeout)
+	w.timer.Reset(timeout)
 	select {
-	case resp := <-ch:
-		timer.Stop()
-		waiterPool.Put(ch)
+	case resp := <-w.ch:
+		w.timer.Stop()
+		waiterPool.Put(w)
 		return resp, nil
-	case <-timer.C:
+	case <-w.timer.C:
 		p.timeouts.Add(1)
 		if _, ok := p.pending.LoadAndDelete(reqID); ok {
 			// We won the race against the demux handler: no writer can
-			// reach the channel anymore, so it is reusable.
-			waiterPool.Put(ch)
+			// reach the channel anymore, so the waiter is reusable.
+			waiterPool.Put(w)
 			return nil, fmt.Errorf("%w (to %v after %v)", transport.ErrTimeout, to, timeout)
 		}
 		// The handler claimed the entry concurrently and will (or already
 		// did) deposit the response. Drain it if it is already there —
-		// then the channel is empty and reusable; otherwise abandon both
-		// to the GC rather than risk a stale delivery into a reused slot.
+		// then the channel is empty and the waiter reusable; otherwise
+		// abandon it to the GC rather than risk a stale delivery into a
+		// reused slot.
 		select {
-		case m := <-ch:
+		case m := <-w.ch:
 			releaseOrphan(m)
-			waiterPool.Put(ch)
+			waiterPool.Put(w)
 		default:
 		}
 		return nil, fmt.Errorf("%w (to %v after %v)", transport.ErrTimeout, to, timeout)
@@ -175,13 +196,13 @@ func (p *Pool) HandleMessage(_ transport.NodeID, m wire.Message) {
 	if !ok {
 		return
 	}
-	ch, ok := p.pending.LoadAndDelete(reqID)
+	w, ok := p.pending.LoadAndDelete(reqID)
 	if !ok {
 		p.orphans.Add(1)
 		releaseOrphan(m)
 		return
 	}
-	ch <- m
+	w.ch <- m
 }
 
 // releaseOrphan returns an unclaimed pooled response to its pool. Safe:

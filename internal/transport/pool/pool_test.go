@@ -270,3 +270,38 @@ func TestClosedPoolRefusesCalls(t *testing.T) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
+
+// TestCallAllocationFree pins a round trip through Conn.Call at zero
+// allocations against an in-memory endpoint that reuses its response: the
+// waiter, its channel and its timeout timer are all recycled. Before the
+// timer moved into the recycled waiter, each call cost 3 allocations.
+func TestCallAllocationFree(t *testing.T) {
+	net := transport.NewMemory(transport.UniformLatency(0, 0))
+	defer net.Close()
+	id := transport.ServerID(0, 0)
+	resp := &wire.StartTxResp{}
+	net.Register(id, transport.HandlerFunc(func(from transport.NodeID, m wire.Message) {
+		// Calls are sequential, so one response object serves them all.
+		resp.ReqID = m.(*wire.StartTxReq).ReqID
+		_ = net.Send(id, from, resp)
+	}))
+	p := newTestPool(t, net, 1)
+	defer p.Close()
+	conn := p.Bind()
+	req := &wire.StartTxReq{}
+	build := func(reqID uint64) wire.Message {
+		req.ReqID = reqID
+		return req
+	}
+	call := func() {
+		if _, err := conn.Call(id, 5*time.Second, build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call() // warm the waiter free list and the link buffers
+	}
+	if allocs := testing.AllocsPerRun(1000, call); allocs > 0 {
+		t.Fatalf("Conn.Call allocates %.1f/op, want 0", allocs)
+	}
+}

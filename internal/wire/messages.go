@@ -340,6 +340,10 @@ type TxReadResp struct {
 	// blocked waiting for a snapshot to be installed (Cure/H-Cure only;
 	// always 0 in Wren). Feeds the paper's Figure 3b.
 	BlockedMicros int64
+	// Expired reports that the coordinator holds no context for TxID — it
+	// expired or the coordinator restarted — so nothing was read. Items
+	// is empty; it does not mean the keys are absent.
+	Expired bool
 }
 
 // Kind implements Message.
@@ -364,12 +368,14 @@ func (m *TxReadResp) encodeTo(e *Encoder) {
 		}
 	}
 	e.Uvarint(uint64(m.BlockedMicros))
+	e.Bool(m.Expired)
 }
 
 func (m *TxReadResp) decodeFrom(d *Decoder) {
 	m.ReqID = d.Uvarint()
 	m.Items = decodeItems(d)
 	m.BlockedMicros = int64(d.Uvarint())
+	m.Expired = d.Bool()
 }
 
 // CommitReq ships the write set to the coordinator (Alg. 1 line 27).

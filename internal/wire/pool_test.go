@@ -38,9 +38,10 @@ func TestPooledMessagesResetOnPut(t *testing.T) {
 
 	tr := GetTxReadResp()
 	tr.ReqID = 11
+	tr.Expired = true
 	tr.Items = append(tr.Items[:0], Item{Key: "k"})
 	PutTxReadResp(tr)
-	if got := GetTxReadResp(); got.ReqID != 0 || len(got.Items) != 0 {
+	if got := GetTxReadResp(); got.ReqID != 0 || got.Expired || len(got.Items) != 0 {
 		t.Fatalf("pooled TxReadResp not reset: %+v", got)
 	}
 }

@@ -40,6 +40,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Key: "b", Value: nil, UT: ts(11, 0), RDT: ts(6, 0), TxID: 4, SrcDC: 2,
 				DV: []hlc.Timestamp{ts(1, 0), ts(2, 0)}},
 		}, BlockedMicros: 1234},
+		&TxReadResp{ReqID: 22, Expired: true},
 		&CommitReq{ReqID: 8, TxID: 77, HWT: ts(55, 3), Writes: []KV{
 			{Key: "x", Value: []byte("v1")},
 			{Key: "y", Value: []byte("v2")},
